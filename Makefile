@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos generate bench bench-json
+.PHONY: check fmt vet build test race bench-check chaos generate bench bench-json
 
-## check: everything CI runs — formatting, vet, build, race-enabled tests.
-check: fmt vet build race
+## check: everything CI runs — formatting, vet, build, race-enabled tests,
+## and the benchmark harness's own vet and tests.
+check: fmt vet build race bench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -22,6 +23,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## bench-check: bench/ is a module of its own, so ./... does not reach it.
+bench-check:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 ## chaos: the fault-injection soaks — Rosenbrock under worker kills, a
 ## naming partition, checkpoint-path delays and a checkpointd replica

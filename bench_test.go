@@ -108,28 +108,17 @@ func BenchmarkAblationCheckpointEvery(b *testing.B) {
 			}
 		})
 	}
-	// The data-path encodings at the paper's every=1 cadence: delta
-	// encoding and compression cut checkpoint bytes-on-wire, async
-	// pipelining cuts the latency the store write adds to each call.
-	policies := []struct {
-		name   string
-		policy ft.Policy
-	}{
-		{"every=1/delta", ft.Policy{CheckpointEvery: 1, DeltaCheckpoint: true}},
-		{"every=1/delta+flate", ft.Policy{CheckpointEvery: 1, DeltaCheckpoint: true, CompressCheckpoint: true}},
-		{"every=1/async+delta", ft.Policy{CheckpointEvery: 1, AsyncCheckpoint: true, DeltaCheckpoint: true}},
-	}
-	for _, pc := range policies {
-		b.Run(pc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.RunTable1AblationPolicy(base, pc.policy)
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, rows)
+	// Delta encoding at the paper's every=1 cadence cuts checkpoint
+	// bytes on the wire.
+	b.Run("every=1/delta", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rows, err := experiments.RunTable1AblationPolicy(base, ft.Policy{CheckpointEvery: 1, DeltaCheckpoint: true})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			report(b, rows)
+		}
+	})
 }
 
 // BenchmarkAblationSelectionPolicy compares host-selection policies in

@@ -156,6 +156,11 @@ func main() {
 		log.Printf("nameserver: replicating to %d peers every %v", len(specs), *syncPeriod)
 	}
 
+	// Catch termination signals before announcing the SIOR: whoever reads
+	// it may signal at once, and must get the final snapshot, not a kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ref := ad.Activate(naming.DefaultKey, servant)
 	sior := ref.ToString()
 	fmt.Println(sior)
@@ -212,8 +217,6 @@ func main() {
 		defer t.Stop()
 		saveTick = t.C
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	for {
 		select {
 		case <-saveTick:

@@ -390,13 +390,9 @@ func (w *soakWorld) run(ctx context.Context, faulty bool) (*rosen.Result, ft.Sta
 			StrictCheckpoint: true,
 			MaxRecoveries:    10,
 			Backoff:          orb.Backoff{Base: 20 * time.Millisecond, Max: 150 * time.Millisecond},
-			// Exercise the full data-path: pipelined store writes with
-			// delta encoding. Solve results must stay bitwise-identical —
-			// the state fetch is synchronous and recovery drains the
-			// pipeline before restoring.
-			AsyncCheckpoint: true,
+			// Exercise delta encoding through the quorum store: solve
+			// results must stay bitwise-identical.
 			DeltaCheckpoint: true,
-			SyncEvery:       4,
 		},
 		Unbinder: w.resolver,
 	})

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/giop"
@@ -28,7 +29,7 @@ func NewTimeInterceptor(clock *Clock) *TimeInterceptor {
 	return &TimeInterceptor{clock: clock}
 }
 
-var _ orb.Interceptor = (*TimeInterceptor)(nil)
+var _ orb.CallInterceptor = (*TimeInterceptor)(nil)
 
 func encodeTime(t float64) []byte {
 	bits := math.Float64bits(t)
@@ -60,14 +61,28 @@ func (ti *TimeInterceptor) merge(m *giop.Message) {
 	}
 }
 
-// SendRequest implements orb.Interceptor.
-func (ti *TimeInterceptor) SendRequest(m *giop.Message) { ti.stamp(m) }
+// RequestSent implements orb.CallInterceptor.
+func (ti *TimeInterceptor) RequestSent(ctx context.Context, m *giop.Message) context.Context {
+	ti.stamp(m)
+	return ctx
+}
 
-// ReceiveReply implements orb.Interceptor.
-func (ti *TimeInterceptor) ReceiveReply(m *giop.Message) { ti.merge(m) }
+// ReplyReceived implements orb.CallInterceptor.
+func (ti *TimeInterceptor) ReplyReceived(_ context.Context, _, reply *giop.Message, _ error) {
+	if reply != nil {
+		ti.merge(reply)
+	}
+}
 
-// ReceiveRequest implements orb.Interceptor.
-func (ti *TimeInterceptor) ReceiveRequest(m *giop.Message) { ti.merge(m) }
+// DispatchStart implements orb.CallInterceptor.
+func (ti *TimeInterceptor) DispatchStart(ctx context.Context, req *giop.Message) context.Context {
+	ti.merge(req)
+	return ctx
+}
 
-// SendReply implements orb.Interceptor.
-func (ti *TimeInterceptor) SendReply(m *giop.Message) { ti.stamp(m) }
+// DispatchEnd implements orb.CallInterceptor.
+func (ti *TimeInterceptor) DispatchEnd(_ context.Context, _, reply *giop.Message) {
+	if reply != nil {
+		ti.stamp(reply)
+	}
+}

@@ -37,7 +37,7 @@ func NewNode(host *Host, opts NodeOptions) (*Node, error) {
 	}
 	ti := NewTimeInterceptor(host.Clock())
 	ti.Latency = opts.Latency
-	o.Interceptors = append(o.Interceptors, ti)
+	o.CallInterceptors = append(o.CallInterceptors, ti)
 	b := orb.New(o)
 	a, err := b.NewAdapter("127.0.0.1:0")
 	if err != nil {

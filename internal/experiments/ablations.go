@@ -20,9 +20,8 @@ func RunTable1Ablation(cfg Table1Config, checkpointEvery int) ([]Table1Row, erro
 }
 
 // RunTable1AblationPolicy is the Table 1 cell with a fully configurable
-// checkpoint policy, for ablating the data-path knobs: delta encoding,
-// compression, and async pipelining. The returned rows carry the
-// checkpoint byte volume so encodings can be compared directly.
+// checkpoint policy, for ablating delta encoding. The returned rows carry
+// the checkpoint byte volume so encodings can be compared directly.
 func RunTable1AblationPolicy(cfg Table1Config, policy ft.Policy) ([]Table1Row, error) {
 	if cfg.Repeats <= 0 {
 		cfg.Repeats = 1

@@ -123,7 +123,6 @@ func BenchmarkProxyCall(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		_ = p.Close()
 		if st := p.Stats(); st.Checkpoints > 0 {
 			b.ReportMetric(float64(st.CheckpointBytes)/float64(st.Checkpoints), "ckpt_B/op")
 		}
@@ -134,12 +133,6 @@ func BenchmarkProxyCall(b *testing.B) {
 	})
 	b.Run("every=1/delta", func(b *testing.B) {
 		run(b, Policy{CheckpointEvery: 1, DeltaCheckpoint: true})
-	})
-	b.Run("every=1/async", func(b *testing.B) {
-		run(b, Policy{CheckpointEvery: 1, AsyncCheckpoint: true, QueueDepth: 8})
-	})
-	b.Run("every=1/async/delta", func(b *testing.B) {
-		run(b, Policy{CheckpointEvery: 1, AsyncCheckpoint: true, QueueDepth: 8, DeltaCheckpoint: true})
 	})
 	b.Run("nockpt", func(b *testing.B) {
 		run(b, Policy{CheckpointEvery: 0})

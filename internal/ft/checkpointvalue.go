@@ -1,11 +1,8 @@
 package ft
 
 import (
-	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/cdr"
 )
@@ -15,22 +12,12 @@ import (
 // delta. Producers react by re-sending the checkpoint as a full snapshot.
 var ErrBadBase = errors.New("ft: delta base mismatch")
 
-// Codec identifies the encoding of a Checkpoint's payload bytes.
-type Codec uint32
-
-const (
-	// CodecRaw is the uncompressed payload.
-	CodecRaw Codec = 0
-	// CodecFlate is a DEFLATE-compressed payload (stdlib compress/flate).
-	CodecFlate Codec = 1
-)
-
 // Checkpoint is the versioned checkpoint value carried through Store: the
-// epoch that orders it, an optional delta base, a payload codec, and the
-// payload itself. It replaces the historical raw (epoch, data) pair so
-// incremental and compressed checkpoints travel through every store
-// implementation — local, remote, replicated — without the backends
-// agreeing on anything beyond this one type.
+// epoch that orders it, an optional delta base, and the payload itself.
+// It replaces the historical raw (epoch, data) pair so incremental
+// checkpoints travel through every store implementation — local, remote,
+// replicated — without the backends agreeing on anything beyond this one
+// type.
 //
 // A Checkpoint with Base == 0 is a full snapshot. With Base > 0 the
 // payload is a delta (see ComputeDelta) against the full state stored at
@@ -43,9 +30,7 @@ type Checkpoint struct {
 	// Base is the epoch the delta payload applies to. 0 marks a full
 	// snapshot (epoch 0 is never a valid checkpoint epoch).
 	Base uint64
-	// Codec identifies the payload encoding.
-	Codec Codec
-	// Data is the (possibly delta-encoded, possibly compressed) payload.
+	// Data is the (possibly delta-encoded) payload.
 	Data []byte
 }
 
@@ -61,7 +46,6 @@ func (c Checkpoint) IsDelta() bool { return c.Base != 0 }
 func (c Checkpoint) MarshalCDR(e *cdr.Encoder) {
 	e.PutUint64(c.Epoch)
 	e.PutUint64(c.Base)
-	e.PutUint32(uint32(c.Codec))
 	e.PutBytes(c.Data)
 }
 
@@ -69,57 +53,8 @@ func (c Checkpoint) MarshalCDR(e *cdr.Encoder) {
 func (c *Checkpoint) UnmarshalCDR(d *cdr.Decoder) error {
 	c.Epoch = d.GetUint64()
 	c.Base = d.GetUint64()
-	c.Codec = Codec(d.GetUint32())
 	c.Data = d.GetBytes()
 	return d.Err()
-}
-
-// Payload returns the decoded (decompressed) payload bytes — still a
-// delta when IsDelta.
-func (c Checkpoint) Payload() ([]byte, error) {
-	switch c.Codec {
-	case CodecRaw:
-		return c.Data, nil
-	case CodecFlate:
-		r := flate.NewReader(bytes.NewReader(c.Data))
-		out, err := io.ReadAll(r)
-		if cerr := r.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: flate: %v", ErrCorruptCheckpoint, err)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorruptCheckpoint, c.Codec)
-	}
-}
-
-// Compressed returns c with its payload flate-compressed, when that
-// actually shrinks it; otherwise c is returned unchanged. Only raw
-// payloads are considered.
-func (c Checkpoint) Compressed() Checkpoint {
-	if c.Codec != CodecRaw || len(c.Data) < 64 {
-		return c
-	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return c
-	}
-	if _, err := w.Write(c.Data); err != nil {
-		return c
-	}
-	if err := w.Close(); err != nil {
-		return c
-	}
-	if buf.Len() >= len(c.Data) {
-		return c
-	}
-	out := c
-	out.Codec = CodecFlate
-	out.Data = buf.Bytes()
-	return out
 }
 
 // materialize resolves cp into full raw state bytes, given the full state
@@ -127,12 +62,8 @@ func (c Checkpoint) Compressed() Checkpoint {
 // false when nothing is stored). Delta checkpoints whose Base does not
 // match the stored epoch fail with ErrBadBase.
 func materialize(cp Checkpoint, prevEpoch uint64, prev []byte, havePrev bool) ([]byte, error) {
-	payload, err := cp.Payload()
-	if err != nil {
-		return nil, err
-	}
 	if !cp.IsDelta() {
-		return payload, nil
+		return cp.Data, nil
 	}
 	if !havePrev {
 		return nil, fmt.Errorf("%w: delta base %d but nothing stored", ErrBadBase, cp.Base)
@@ -140,7 +71,7 @@ func materialize(cp Checkpoint, prevEpoch uint64, prev []byte, havePrev bool) ([
 	if cp.Base != prevEpoch {
 		return nil, fmt.Errorf("%w: delta base %d, stored epoch %d", ErrBadBase, cp.Base, prevEpoch)
 	}
-	full, err := ApplyDelta(prev, payload)
+	full, err := ApplyDelta(prev, cp.Data)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}

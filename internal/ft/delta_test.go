@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/cdr"
+	"repro/internal/naming"
+	"repro/internal/orb"
 )
 
 func TestComputeApplyDeltaRoundtrip(t *testing.T) {
@@ -89,7 +91,7 @@ func TestApplyDeltaRejectsDamage(t *testing.T) {
 }
 
 func TestCheckpointWireRoundtrip(t *testing.T) {
-	in := Checkpoint{Epoch: 9, Base: 8, Codec: CodecFlate, Data: []byte("payload")}
+	in := Checkpoint{Epoch: 9, Base: 8, Data: []byte("payload")}
 	e := cdr.NewEncoder(64)
 	in.MarshalCDR(e)
 	var out Checkpoint
@@ -97,34 +99,8 @@ func TestCheckpointWireRoundtrip(t *testing.T) {
 	if err := out.UnmarshalCDR(d); err != nil {
 		t.Fatal(err)
 	}
-	if out.Epoch != in.Epoch || out.Base != in.Base || out.Codec != in.Codec || !bytes.Equal(out.Data, in.Data) {
+	if out.Epoch != in.Epoch || out.Base != in.Base || !bytes.Equal(out.Data, in.Data) {
 		t.Fatalf("roundtrip = %+v, want %+v", out, in)
-	}
-}
-
-func TestCheckpointCompressedRoundtrip(t *testing.T) {
-	compressible := bytes.Repeat([]byte("abcdefgh"), 512)
-	cp := Full(3, compressible).Compressed()
-	if cp.Codec != CodecFlate {
-		t.Fatalf("compressible payload stayed codec %d", cp.Codec)
-	}
-	if len(cp.Data) >= len(compressible) {
-		t.Fatalf("compression grew the payload: %d >= %d", len(cp.Data), len(compressible))
-	}
-	got, err := cp.Payload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, compressible) {
-		t.Fatal("decompressed payload differs from original")
-	}
-
-	// Incompressible (random) payloads must stay raw.
-	rng := rand.New(rand.NewSource(1))
-	random := make([]byte, 1024)
-	rng.Read(random)
-	if cp := Full(4, random).Compressed(); cp.Codec != CodecRaw {
-		t.Fatalf("incompressible payload was recoded to %d", cp.Codec)
 	}
 }
 
@@ -168,5 +144,119 @@ func TestMemStoreRejectsBadBaseDelta(t *testing.T) {
 	cp, err := s.Get(ctx, "k")
 	if err != nil || cp.Epoch != 1 || string(cp.Data) != "one" {
 		t.Fatalf("state after rejected delta = %+v, %v", cp, err)
+	}
+}
+
+// TestDeltaBadBaseFallsBackToFull rejects a delta Put with ErrBadBase and
+// checks the proxy re-sends the same epoch as a full snapshot, so one
+// stale replica never wedges checkpointing.
+func TestDeltaBadBaseFallsBackToFull(t *testing.T) {
+	// A counter's 8-byte state never yields a smaller delta, so this test
+	// uses the 64-float vector servant (bench fixture): one element moves
+	// per call, making deltas genuinely smaller than full snapshots.
+	srv := orb.New(orb.Options{Name: "delta-srv"})
+	t.Cleanup(srv.Shutdown)
+	ad, err := srv.NewAdapter("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := ad.Activate("state", Wrap(newBenchState(64)))
+	cli := orb.New(orb.Options{Name: "delta-cli"})
+	t.Cleanup(cli.Shutdown)
+
+	rec := &recordingStore{inner: NewMemStore()}
+	rejectOnce := true
+	rec.failPut = func(cp Checkpoint) error {
+		if cp.IsDelta() && rejectOnce {
+			rejectOnce = false
+			return ErrBadBase
+		}
+		return nil
+	}
+	p, err := NewProxy(context.Background(), cli, naming.NewName("delta"),
+		&benchResolver{ref: ref}, rec, Policy{CheckpointEvery: 1, DeltaCheckpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		if err := p.Call(context.Background(), "bump",
+			encodeInt64Arg(i), discardInt64Reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := p.Stats()
+	if st.Checkpoints != 3 || st.CheckpointFailures != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st.DeltaCheckpoints == 0 {
+		t.Fatalf("no delta checkpoints produced: %+v", st)
+	}
+	// History: the rejected delta is immediately followed by a full
+	// snapshot at the same epoch.
+	var sawFallback bool
+	hist := rec.history()
+	for i := 0; i+1 < len(hist); i++ {
+		if hist[i].IsDelta() && !hist[i+1].IsDelta() && hist[i].Epoch == hist[i+1].Epoch {
+			sawFallback = true
+		}
+	}
+	if !sawFallback {
+		t.Fatalf("no delta→full fallback in put history: %+v", hist)
+	}
+	cp, err := rec.Get(context.Background(), "delta")
+	if err != nil || cp.Epoch != 3 {
+		t.Fatalf("final store state = %+v, %v", cp, err)
+	}
+}
+
+// TestDeltaRestoreEquivalence runs the same call sequence through a
+// delta proxy and a full-snapshot proxy, with checkpoint Puts failing
+// intermittently (transport corruption analogue), and a server crash
+// mid-sequence. Both runs must recover to identical servant state:
+// delta encoding is an encoding, never a semantic fork.
+func TestDeltaRestoreEquivalence(t *testing.T) {
+	run := func(policy Policy) (final int64, stored []byte) {
+		w := newFTWorld(t)
+		rec := &recordingStore{inner: NewMemStore()}
+		n := 0
+		commFail := errors.New("injected: checkpoint transport corrupted")
+		rec.failPut = func(cp Checkpoint) error {
+			n++
+			if n%3 == 0 { // every 3rd Put dies on the wire
+				return commFail
+			}
+			return nil
+		}
+		p, err := NewProxy(context.Background(), w.client, w.name, w.naming, rec, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if _, err := inc(p, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.adA.Close()
+		w.srvA.Shutdown()
+		var v int64
+		for i := 0; i < 4; i++ {
+			if v, err = inc(p, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cp, err := rec.Get(context.Background(), w.name.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, cp.Data
+	}
+
+	fullV, fullState := run(Policy{CheckpointEvery: 1})
+	deltaV, deltaState := run(Policy{CheckpointEvery: 1, DeltaCheckpoint: true})
+	if fullV != deltaV {
+		t.Fatalf("final value diverged: full=%d delta=%d", fullV, deltaV)
+	}
+	if !bytes.Equal(fullState, deltaState) {
+		t.Fatalf("stored state diverged: full=%x delta=%x", fullState, deltaState)
 	}
 }

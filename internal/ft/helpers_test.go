@@ -2,6 +2,7 @@ package ft
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/cdr"
@@ -9,7 +10,7 @@ import (
 
 // putFull and getFull keep the (epoch, data) shape of the pre-Checkpoint
 // Store API for tests that exercise plain full-snapshot semantics; the
-// delta/codec paths are tested against the Checkpoint type directly.
+// delta paths are tested against the Checkpoint type directly.
 
 func putFull(ctx context.Context, s Store, key string, epoch uint64, data []byte) error {
 	return s.Put(ctx, key, Full(epoch, data))
@@ -40,4 +41,47 @@ func encodeInt64Arg(v int64) func(*cdr.Encoder) {
 func discardInt64Reply(d *cdr.Decoder) error {
 	_ = d.GetInt64()
 	return d.Err()
+}
+
+// recordingStore wraps a Store and keeps every Put it saw, optionally
+// failing selected Puts to exercise the proxy's fallback paths.
+type recordingStore struct {
+	inner Store
+
+	mu   sync.Mutex
+	puts []Checkpoint
+	// failPut, when non-nil, is consulted before each Put; a non-nil
+	// return fails the Put without reaching the inner store.
+	failPut func(cp Checkpoint) error
+}
+
+func (s *recordingStore) Put(ctx context.Context, key string, cp Checkpoint) error {
+	s.mu.Lock()
+	s.puts = append(s.puts, cp)
+	fail := s.failPut
+	s.mu.Unlock()
+	if fail != nil {
+		if err := fail(cp); err != nil {
+			return err
+		}
+	}
+	return s.inner.Put(ctx, key, cp)
+}
+
+func (s *recordingStore) Get(ctx context.Context, key string) (Checkpoint, error) {
+	return s.inner.Get(ctx, key)
+}
+
+func (s *recordingStore) Delete(ctx context.Context, key string) error {
+	return s.inner.Delete(ctx, key)
+}
+
+func (s *recordingStore) Keys(ctx context.Context) ([]string, error) {
+	return s.inner.Keys(ctx)
+}
+
+func (s *recordingStore) history() []Checkpoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Checkpoint(nil), s.puts...)
 }

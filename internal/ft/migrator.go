@@ -138,30 +138,6 @@ func NewMigrator(ctx context.Context, proxy *Proxy, opts ...MigrateOption) *Migr
 	return m
 }
 
-// NewMigratorWithOptions builds a migrator from the pre-elastic
-// positional configuration.
-//
-// Deprecated: use NewMigrator with MigrateOffers/MigrateLoads/
-// MigrateMinImprovement options. This shim remains for one release and
-// will not grow new capabilities.
-func NewMigratorWithOptions(proxy *Proxy, offers OfferLister, loads RankedLoads, opts MigratorOptions) *Migrator {
-	mo := []MigrateOption{MigrateOffers(offers), MigrateLoads(loads)}
-	if opts.MinImprovement > 1 {
-		mo = append(mo, MigrateMinImprovement(opts.MinImprovement))
-	}
-	return NewMigrator(context.Background(), proxy, mo...)
-}
-
-// MigratorOptions tune a Migrator.
-//
-// Deprecated: configure through MigrateOption functions instead; this
-// struct exists only for the NewMigratorWithOptions shim.
-type MigratorOptions struct {
-	// MinImprovement is the factor by which a candidate host's effective
-	// speed must beat the current host's before migrating (default 1.5).
-	MinImprovement float64
-}
-
 // Migrations returns the total number of migrations performed (reactive
 // and proactive).
 func (m *Migrator) Migrations() int { return int(m.migrations.Load()) }

@@ -73,7 +73,7 @@ func TestMigratorStaysOnSlightImprovement(t *testing.T) {
 func TestMigratorUnknownLoadsNoMove(t *testing.T) {
 	w := newFTWorld(t)
 	p := w.newProxy(Policy{CheckpointEvery: 1})
-	mig := NewMigratorWithOptions(p, w.naming, loadTable{}, MigratorOptions{}) // deprecated shim stays covered
+	mig := NewMigrator(context.Background(), p, MigrateOffers(w.naming), MigrateLoads(loadTable{}))
 	host, err := mig.Step(context.Background())
 	if err != nil || host != "" {
 		t.Fatalf("step = %q, %v", host, err)

@@ -5,18 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/cdr"
 	"repro/internal/naming"
 	"repro/internal/obs"
 	"repro/internal/orb"
 )
-
-// asyncPutTimeout bounds one pipelined store write: the producing call
-// has already returned, so the worker supplies its own deadline.
-const asyncPutTimeout = 10 * time.Second
 
 // Resolver obtains a (fresh) object reference for a service name — the
 // naming service indirection the proxy uses for recovery. naming.Client
@@ -62,31 +56,13 @@ type Policy struct {
 	RecoverOn func(error) bool
 	// StrictCheckpoint makes a failed post-call checkpoint fail the call.
 	// Off by default: the business result is already known; the failure
-	// is still counted in Stats. Only synchronous checkpoints can fail the
-	// call; pipelined ones surface failures through Stats alone.
+	// is still counted in Stats.
 	StrictCheckpoint bool
-	// AsyncCheckpoint pipelines checkpoint store writes off the critical
-	// path: the state fetch stays synchronous (the servant's state at the
-	// moment of the call is what gets checkpointed), but the store Put is
-	// queued to a background worker, so fsync/quorum/network latency no
-	// longer extends every call. The pipeline drains before any recovery
-	// restore or migration, preserving exact recovery semantics.
-	AsyncCheckpoint bool
-	// QueueDepth bounds the async pipeline (default 4). A full queue
-	// applies backpressure: the call blocks until the worker frees a slot.
-	QueueDepth int
-	// SyncEvery forces every Nth checkpoint to be stored synchronously
-	// even in async mode (the pipeline is drained first), bounding the
-	// window of unacknowledged state. 0 never forces.
-	SyncEvery int
 	// DeltaCheckpoint encodes each checkpoint as a delta against the
 	// previously produced state when that is smaller, cutting checkpoint
 	// bytes on the wire. Store backends materialize deltas at Put time; a
 	// base mismatch (ErrBadBase) makes the proxy re-send a full snapshot.
 	DeltaCheckpoint bool
-	// CompressCheckpoint flate-compresses checkpoint payloads when that
-	// shrinks them.
-	CompressCheckpoint bool
 }
 
 func (p Policy) withDefaults() Policy {
@@ -95,9 +71,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.RecoverOn == nil {
 		p.RecoverOn = orb.DefaultRetryOn
-	}
-	if p.QueueDepth <= 0 {
-		p.QueueDepth = 4
 	}
 	return p
 }
@@ -111,7 +84,6 @@ type Stats struct {
 	Replays            uint64 // calls re-issued after recovery
 	CheckpointBytes    uint64 // payload bytes actually written to the store
 	DeltaCheckpoints   uint64 // checkpoints encoded as deltas
-	AsyncCheckpoints   uint64 // checkpoints queued to the async pipeline
 }
 
 // RecoveryError reports that a call failed and every recovery attempt was
@@ -144,33 +116,12 @@ type Proxy struct {
 	// recoverMu serializes whole recovery sequences.
 	recoverMu sync.Mutex
 
-	// degraded, set by the ORB's adaptive-degradation controller via
-	// DegradeHook, relaxes the forced-sync cadence: a degraded runtime
-	// spends its checkpoint budget on throughput, widening SyncEvery by
-	// degradeSyncFactor instead of fsyncing on schedule.
-	degraded atomic.Bool
-
-	// ckptMu serializes checkpoint production — epoch allocation, delta
-	// encoding against lastFull, and pipeline enqueue — so queued epochs
-	// are strictly FIFO. Lock order: ckptMu before mu, never the reverse.
-	ckptMu     sync.Mutex
-	lastFull   []byte // full state of the newest produced checkpoint
-	lastEpoch  uint64 // epoch of lastFull
-	asyncSince int    // async checkpoints since the last forced sync
-	ckptCh     chan ckptJob
-	ckptDone   chan struct{}
-	ckptClosed bool
-}
-
-// ckptJob is one pipelined store write: the encoded checkpoint plus the
-// materialized full state, retained so a delta rejected with ErrBadBase
-// can be re-sent as a full snapshot without refetching.
-type ckptJob struct {
-	cp   Checkpoint
-	full []byte
-	// flush, when non-nil, marks a drain barrier instead of a write: the
-	// worker closes it once every job queued before it has been stored.
-	flush chan struct{}
+	// ckptMu serializes checkpoint production — epoch allocation and delta
+	// encoding against lastFull. Lock order: ckptMu before mu, never the
+	// reverse.
+	ckptMu    sync.Mutex
+	lastFull  []byte // full state of the newest produced checkpoint
+	lastEpoch uint64 // epoch of lastFull
 }
 
 // ProxyOption customizes a Proxy.
@@ -263,8 +214,9 @@ func (p *Proxy) caller() *orb.Caller {
 // Call performs op through the proxy: forward, checkpoint on success,
 // recover and replay on failure. Per-call options overlay the proxy's
 // policy — WithDeadline, WithIdempotent and friends pass straight to the
-// call engine, WithCheckpointMode overrides how (and whether) this call's
-// post-call checkpoint is taken.
+// call engine. It has the same shape as orb.Call, so switching a client
+// from the plain stub to the proxy is the one-line change the paper
+// advertises.
 func (p *Proxy) Call(ctx context.Context, op string, writeArgs func(*cdr.Encoder), readReply func(*cdr.Decoder) error, opts ...orb.CallOption) error {
 	sctx, span := obs.StartSpan(ctx, "ft.invoke",
 		obs.String("op", op), obs.String("name", p.name.String()))
@@ -272,66 +224,43 @@ func (p *Proxy) Call(ctx context.Context, op string, writeArgs func(*cdr.Encoder
 	c.Opts.Apply(opts...)
 	err := c.Invoke(sctx, op, writeArgs, readReply)
 	if err == nil {
-		err = p.afterSuccess(sctx, c.Ref(), op, c.Opts.Checkpoint)
+		err = p.afterSuccess(sctx, c.Ref(), op)
 	}
 	span.EndErr(err)
 	return err
 }
 
-// Invoke is Call without per-call options. It has the same shape as
-// orb.Invoke, so switching a client from the plain stub to the proxy is
-// the one-line change the paper advertises.
-func (p *Proxy) Invoke(ctx context.Context, op string, writeArgs func(*cdr.Encoder), readReply func(*cdr.Decoder) error) error {
-	return p.Call(ctx, op, writeArgs, readReply)
-}
-
-// afterSuccess counts the call and checkpoints per policy, as overridden
-// by the call's CheckpointMode.
-func (p *Proxy) afterSuccess(ctx context.Context, ref orb.ObjectRef, op string, mode orb.CheckpointMode) error {
+// afterSuccess counts the call and checkpoints every CheckpointEvery-th
+// one. The cadence counter resets only once a checkpoint is stored, so a
+// failed fetch or put is retried after the next successful call instead
+// of leaving a whole further interval unprotected.
+func (p *Proxy) afterSuccess(ctx context.Context, ref orb.ObjectRef, op string) error {
 	p.mu.Lock()
 	p.stats.Calls++
-	doCkpt := false
-	switch mode {
-	case orb.CheckpointSkip:
-		// Explicitly suppressed; the cadence counter does not advance.
-	case orb.CheckpointSync, orb.CheckpointAsync:
-		doCkpt = true
-		p.sinceCkpt = 0
-	default:
-		if p.policy.CheckpointEvery > 0 {
-			p.sinceCkpt++
-			if p.sinceCkpt >= p.policy.CheckpointEvery {
-				doCkpt = true
-				p.sinceCkpt = 0
-			}
-		}
+	due := false
+	if p.policy.CheckpointEvery > 0 {
+		p.sinceCkpt++
+		due = p.sinceCkpt >= p.policy.CheckpointEvery
 	}
 	p.mu.Unlock()
-	if !doCkpt {
+	if !due {
 		return nil
 	}
-	async := p.policy.AsyncCheckpoint
-	switch mode {
-	case orb.CheckpointSync:
-		async = false
-	case orb.CheckpointAsync:
-		async = true
-	}
-	if err := p.checkpoint(ctx, ref, async); err != nil {
+	if err := p.checkpoint(ctx, ref); err != nil {
 		if p.policy.StrictCheckpoint {
 			return fmt.Errorf("ft: post-call checkpoint of %s after %s: %w", p.name, op, err)
 		}
 		return nil
 	}
+	p.mu.Lock()
+	p.sinceCkpt = 0
+	p.mu.Unlock()
 	return nil
 }
 
-// checkpoint pulls the server state and stores it under the next epoch.
-// The state fetch is always synchronous — what gets checkpointed is the
-// servant's state at this point in the call sequence — but with async
-// true the store write itself is queued to the pipeline worker, so store
-// latency stays off the call's critical path.
-func (p *Proxy) checkpoint(ctx context.Context, ref orb.ObjectRef, async bool) (err error) {
+// checkpoint pulls the server state and stores it under the next epoch,
+// synchronously: the call does not return before the store has it.
+func (p *Proxy) checkpoint(ctx context.Context, ref orb.ObjectRef) (err error) {
 	ctx, span := obs.StartSpan(ctx, "ft.checkpoint",
 		obs.String("name", p.name.String()), obs.String("target", ref.Addr))
 	defer func() { span.EndErr(err) }()
@@ -360,62 +289,10 @@ func (p *Proxy) checkpoint(ctx context.Context, ref orb.ObjectRef, async bool) (
 			p.mu.Unlock()
 		}
 	}
-	if p.policy.CompressCheckpoint {
-		cp = cp.Compressed()
-	}
 	p.lastFull, p.lastEpoch = data, epoch
-	if async && !p.ckptClosed {
-		p.asyncSince++
-		if se := p.effectiveSyncEvery(); se > 0 && p.asyncSince >= se {
-			async, p.asyncSince = false, 0
-		}
-	}
-	span.SetAttr("epoch", fmt.Sprintf("%d", epoch))
-	if async && !p.ckptClosed {
-		ch := p.pipeline()
-		p.mu.Lock()
-		p.stats.AsyncCheckpoints++
-		p.mu.Unlock()
-		span.SetAttr("async", "true")
-		// Enqueue under ckptMu so pipelined epochs stay FIFO; a full queue
-		// applies backpressure here (the worker never takes ckptMu).
-		ch <- ckptJob{cp: cp, full: data}
-		p.ckptMu.Unlock()
-		return nil
-	}
 	p.ckptMu.Unlock()
-	// Synchronous store: drain pipelined epochs first so the store sees
-	// epochs in order and this one lands newest.
-	p.drainCheckpoints()
+	span.SetAttr("epoch", fmt.Sprintf("%d", epoch))
 	return p.storePut(ctx, cp, data)
-}
-
-// degradeSyncFactor widens Policy.SyncEvery while the runtime is
-// degraded: forced synchronous checkpoints happen 4× less often, buying
-// call throughput at the cost of a longer unacknowledged-state window.
-const degradeSyncFactor = 4
-
-// effectiveSyncEvery is the forced-sync cadence after degradation widening.
-func (p *Proxy) effectiveSyncEvery() int {
-	se := p.policy.SyncEvery
-	if se > 0 && p.degraded.Load() {
-		se *= degradeSyncFactor
-	}
-	return se
-}
-
-// SetDegraded switches the proxy's degraded checkpointing behaviour
-// (see effectiveSyncEvery). Normally driven through DegradeHook.
-func (p *Proxy) SetDegraded(on bool) { p.degraded.Store(on) }
-
-// Degraded reports whether degraded checkpointing is in force.
-func (p *Proxy) Degraded() bool { return p.degraded.Load() }
-
-// DegradeHook adapts the proxy to the ORB's degradation controller:
-// register the returned func with orb.ORB.OnDegrade and the proxy
-// relaxes its checkpoint sync cadence in any mode below normal.
-func (p *Proxy) DegradeHook() func(orb.DegradeMode) {
-	return func(mode orb.DegradeMode) { p.SetDegraded(mode != orb.ModeNormal) }
 }
 
 // storePut writes cp to the store, re-sending a full snapshot when a
@@ -425,12 +302,8 @@ func (p *Proxy) storePut(ctx context.Context, cp Checkpoint, full []byte) error 
 	err := p.store.Put(ctx, p.key(), cp)
 	wrote := len(cp.Data)
 	if err != nil && cp.IsDelta() && errors.Is(err, ErrBadBase) {
-		fullCp := Full(cp.Epoch, full)
-		if p.policy.CompressCheckpoint {
-			fullCp = fullCp.Compressed()
-		}
-		err = p.store.Put(ctx, p.key(), fullCp)
-		wrote += len(fullCp.Data)
+		err = p.store.Put(ctx, p.key(), Full(cp.Epoch, full))
+		wrote += len(full)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -440,67 +313,6 @@ func (p *Proxy) storePut(ctx context.Context, cp Checkpoint, full []byte) error 
 	}
 	p.stats.Checkpoints++
 	p.stats.CheckpointBytes += uint64(wrote)
-	return nil
-}
-
-// pipeline returns the async queue, starting the worker on first use.
-// Callers must hold ckptMu.
-func (p *Proxy) pipeline() chan ckptJob {
-	if p.ckptCh == nil {
-		p.ckptCh = make(chan ckptJob, p.policy.QueueDepth)
-		p.ckptDone = make(chan struct{})
-		go p.ckptWorker(p.ckptCh)
-	}
-	return p.ckptCh
-}
-
-// ckptWorker is the single pipeline goroutine: it preserves enqueue
-// (= epoch) order and supplies its own per-write deadline, since the
-// producing call has long returned.
-func (p *Proxy) ckptWorker(ch chan ckptJob) {
-	defer close(p.ckptDone)
-	for job := range ch {
-		if job.flush != nil {
-			close(job.flush)
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), asyncPutTimeout)
-		_ = p.storePut(ctx, job.cp, job.full)
-		cancel()
-	}
-}
-
-// drainCheckpoints blocks until every checkpoint queued so far has been
-// written (or failed). Recovery, migration and forced-sync checkpoints
-// call it before touching the store, so restores always see the newest
-// produced epoch.
-func (p *Proxy) drainCheckpoints() {
-	p.ckptMu.Lock()
-	if p.ckptCh == nil || p.ckptClosed {
-		p.ckptMu.Unlock()
-		return
-	}
-	flushed := make(chan struct{})
-	p.ckptCh <- ckptJob{flush: flushed}
-	p.ckptMu.Unlock()
-	<-flushed
-}
-
-// Close drains and stops the async checkpoint pipeline. It is safe to
-// call on a proxy that never pipelined, and calls made after Close
-// checkpoint synchronously.
-func (p *Proxy) Close() error {
-	p.ckptMu.Lock()
-	if p.ckptCh == nil || p.ckptClosed {
-		p.ckptClosed = true
-		p.ckptMu.Unlock()
-		return nil
-	}
-	p.ckptClosed = true
-	close(p.ckptCh)
-	done := p.ckptDone
-	p.ckptMu.Unlock()
-	<-done
 	return nil
 }
 
@@ -517,10 +329,6 @@ func (p *Proxy) recoverFrom(ctx context.Context, dead orb.ObjectRef) (orb.Object
 	if cur := p.Ref(); cur != dead {
 		return cur, nil
 	}
-
-	// Land every pipelined checkpoint before reading the store: the
-	// restore below must see the newest epoch this proxy produced.
-	p.drainCheckpoints()
 
 	ctx, span := obs.StartSpan(ctx, "ft.recover",
 		obs.String("name", p.name.String()), obs.String("dead", dead.Addr))
@@ -627,10 +435,7 @@ func (p *Proxy) Migrate(ctx context.Context, target orb.ObjectRef) (err error) {
 		obs.String("name", p.name.String()),
 		obs.String("from", cur.Addr), obs.String("to", target.Addr))
 	defer func() { span.EndErr(err) }()
-	// Migration is a synchronous checkpoint by construction: the restore
-	// into target must see this exact state (the sync path drains any
-	// pipelined epochs first).
-	if err := p.checkpoint(ctx, cur, false); err != nil {
+	if err := p.checkpoint(ctx, cur); err != nil {
 		return fmt.Errorf("ft: migrate checkpoint: %w", err)
 	}
 	if err := p.restoreInto(ctx, target); err != nil {
@@ -660,19 +465,13 @@ func (p *Proxy) Seed(ctx context.Context, state []byte) (err error) {
 	if p.store == nil {
 		return nil
 	}
-	// Land pipelined epochs first so the seed lands strictly newest.
-	p.drainCheckpoints()
 	p.ckptMu.Lock()
 	p.mu.Lock()
 	p.epoch++
 	epoch := p.epoch
 	p.mu.Unlock()
-	cp := Full(epoch, state)
-	if p.policy.CompressCheckpoint {
-		cp = cp.Compressed()
-	}
 	p.lastFull, p.lastEpoch = state, epoch
 	p.ckptMu.Unlock()
 	span.SetAttr("epoch", fmt.Sprintf("%d", epoch))
-	return p.storePut(ctx, cp, state)
+	return p.storePut(ctx, Full(epoch, state), state)
 }

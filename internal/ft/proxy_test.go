@@ -146,7 +146,7 @@ func (w *ftWorld) newProxy(policy Policy, opts ...ProxyOption) *Proxy {
 
 func inc(p *Proxy, by int64) (int64, error) {
 	var v int64
-	err := p.Invoke(context.Background(), "inc",
+	err := p.Call(context.Background(), "inc",
 		func(e *cdr.Encoder) { e.PutInt64(by) },
 		func(d *cdr.Decoder) error { v = d.GetInt64(); return d.Err() })
 	return v, err
@@ -256,6 +256,46 @@ func TestProxyCheckpointEveryN(t *testing.T) {
 	}
 }
 
+// TestProxyCheckpointCadenceRetriesAfterFailure: a checkpoint that fails
+// when due is attempted again after the very next successful call, not a
+// whole CheckpointEvery interval later.
+func TestProxyCheckpointCadenceRetriesAfterFailure(t *testing.T) {
+	w := newFTWorld(t)
+	rec := &recordingStore{inner: NewMemStore()}
+	failOnce := true
+	rec.failPut = func(Checkpoint) error {
+		if failOnce {
+			failOnce = false
+			return errors.New("injected: store unavailable")
+		}
+		return nil
+	}
+	p, err := NewProxy(context.Background(), w.client, w.name, w.naming, rec, Policy{CheckpointEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Failed and stored checkpoints after each call: the put due on call 3
+	// fails, call 4 retries it, and the cadence restarts from there.
+	want := []struct{ failed, stored uint64 }{{0, 0}, {0, 0}, {1, 0}, {1, 1}, {1, 1}, {1, 1}, {1, 2}}
+	for i, exp := range want {
+		if _, err := inc(p, 1); err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Stats(); st.CheckpointFailures != exp.failed || st.Checkpoints != exp.stored {
+			t.Fatalf("after call %d: stats = %+v, want %d failed / %d stored", i+1, st, exp.failed, exp.stored)
+		}
+		if i+1 == 4 {
+			_, data, err := getFull(context.Background(), rec, w.name.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := decodeCounterState(t, data); v != 4 {
+				t.Fatalf("stored value = %d, want 4 (checkpoint retried on call 4)", v)
+			}
+		}
+	}
+}
+
 func TestProxyNoCheckpointingWhenDisabled(t *testing.T) {
 	w := newFTWorld(t)
 	p := w.newProxy(Policy{CheckpointEvery: 0})
@@ -275,7 +315,7 @@ func TestProxyNoCheckpointingWhenDisabled(t *testing.T) {
 func TestProxyUserExceptionNotRecovered(t *testing.T) {
 	w := newFTWorld(t)
 	p := w.newProxy(Policy{CheckpointEvery: 1})
-	err := p.Invoke(context.Background(), "fail_user", nil, nil)
+	err := p.Call(context.Background(), "fail_user", nil, nil)
 	if !orb.IsUserException(err, "IDL:repro/Boom:1.0") {
 		t.Fatalf("err = %v", err)
 	}

@@ -84,7 +84,7 @@ func (r *RequestProxy) GetResponse(readReply func(*cdr.Decoder) error) error {
 		return r.req.GetResponse(readReply)
 	})
 	if err == nil {
-		err = p.afterSuccess(r.ctx, c.Ref(), r.op, orb.CheckpointDefault)
+		err = p.afterSuccess(r.ctx, c.Ref(), r.op)
 	}
 	r.span.EndErr(err)
 	return err

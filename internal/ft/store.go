@@ -42,7 +42,7 @@ type Store interface {
 	// Put stores cp as the checkpoint for key.
 	Put(ctx context.Context, key string, cp Checkpoint) error
 	// Get returns the newest checkpoint for key, materialized to a full
-	// snapshot (Base 0, CodecRaw).
+	// snapshot (Base 0).
 	Get(ctx context.Context, key string) (Checkpoint, error)
 	// Delete removes key's checkpoint (idempotent).
 	Delete(ctx context.Context, key string) error

@@ -69,30 +69,6 @@ func WithTenant(tenant string) CallOption {
 	return func(o *CallOptions) { o.Tenant = tenant }
 }
 
-// CheckpointMode selects how a fault-tolerant proxy checkpoints around
-// one call. The plain ORB ignores it; ft.Proxy.Call interprets it.
-type CheckpointMode int
-
-const (
-	// CheckpointDefault follows the proxy's Policy (CheckpointEvery,
-	// AsyncCheckpoint).
-	CheckpointDefault CheckpointMode = iota
-	// CheckpointSync forces a synchronous checkpoint after this call,
-	// regardless of CheckpointEvery cadence or async pipelining.
-	CheckpointSync
-	// CheckpointAsync requests a pipelined (off-critical-path) store
-	// write for this call's checkpoint.
-	CheckpointAsync
-	// CheckpointSkip suppresses the post-call checkpoint entirely.
-	CheckpointSkip
-)
-
-// WithCheckpointMode overrides the proxy's checkpoint behaviour for this
-// call only (see CheckpointMode).
-func WithCheckpointMode(m CheckpointMode) CallOption {
-	return func(o *CallOptions) { o.Checkpoint = m }
-}
-
 // NewCallOptions folds opts over a zero CallOptions value. Layers that
 // mirror the Call API (ft proxies, generated stubs) use it to accept the
 // same variadic options.

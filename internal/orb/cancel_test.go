@@ -110,22 +110,25 @@ func TestCancelMidCallPropagatesToServant(t *testing.T) {
 // requests, simulating a request that spent its whole budget in transit.
 type expiredDeadlineStamper struct{}
 
-func (expiredDeadlineStamper) SendRequest(m *giop.Message) {
+func (expiredDeadlineStamper) RequestSent(ctx context.Context, m *giop.Message) context.Context {
 	if m.Type == giop.MsgRequest {
 		m.SetContext(giop.SCDeadline, giop.EncodeDeadline(0))
 	}
+	return ctx
 }
-func (expiredDeadlineStamper) ReceiveReply(*giop.Message)   {}
-func (expiredDeadlineStamper) ReceiveRequest(*giop.Message) {}
-func (expiredDeadlineStamper) SendReply(*giop.Message)      {}
+func (expiredDeadlineStamper) ReplyReceived(context.Context, *giop.Message, *giop.Message, error) {}
+func (expiredDeadlineStamper) DispatchStart(ctx context.Context, _ *giop.Message) context.Context {
+	return ctx
+}
+func (expiredDeadlineStamper) DispatchEnd(context.Context, *giop.Message, *giop.Message) {}
 
 // TestExpiredRequestShedBeforeDispatch proves deadline-aware admission: a
 // request whose propagated deadline has already expired on arrival is
 // answered with TIMEOUT and the servant is never invoked.
 func TestExpiredRequestShedBeforeDispatch(t *testing.T) {
 	o, _, ref, sv := newCtxPair(t, Options{
-		Name:         "shed",
-		Interceptors: []Interceptor{expiredDeadlineStamper{}},
+		Name:             "shed",
+		CallInterceptors: []CallInterceptor{expiredDeadlineStamper{}},
 	})
 
 	err := o.Call(context.Background(), ref, "fast", nil, nil)
@@ -144,7 +147,7 @@ func TestExpiredRequestShedBeforeDispatch(t *testing.T) {
 // case: with a single worker slot held by a long call, a 50ms-deadline
 // request times out while queued and is shed without touching the servant.
 func TestDeadlineExpiresWhileQueuedOnBusyServer(t *testing.T) {
-	o, _, ref, sv := newCtxPair(t, Options{Name: "busy", MaxServerWorkers: 1})
+	o, _, ref, sv := newCtxPair(t, Options{Name: "busy", WorkerPool: 1})
 
 	blockErr := make(chan error, 1)
 	go func() { blockErr <- o.Call(context.Background(), ref, "block", nil, nil) }()

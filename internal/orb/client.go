@@ -389,7 +389,6 @@ func (o *ORB) invokeRaw(ctx context.Context, ref ObjectRef, op string, writeArgs
 	if opts.Priority != ClassNormal || opts.Tenant != "" {
 		m.SetContext(giop.SCQoS, giop.EncodeQoS(uint8(opts.Priority), opts.Tenant))
 	}
-	o.interceptSendRequest(m)
 	ctx = o.callRequestSent(ctx, m)
 	reply, err := o.transferRequest(ctx, ref, m, opts)
 	if err != nil {
@@ -399,7 +398,6 @@ func (o *ORB) invokeRaw(ctx context.Context, ref ObjectRef, op string, writeArgs
 		m.Release()
 		return nil, err
 	}
-	o.interceptReceiveReply(reply)
 	o.callReplyReceived(ctx, m, reply, nil)
 	o.recordClientCall(fl, m, ref.Addr, start, replyOutcome(reply.ReplyStatus))
 	enc.Release()
@@ -490,7 +488,6 @@ func (o *ORB) Notify(ctx context.Context, ref ObjectRef, op string, writeArgs fu
 	}
 	m, enc := o.buildRequest(ref, op, writeArgs)
 	m.ResponseExpected = false
-	o.interceptSendRequest(m)
 	ctx = o.callRequestSent(ctx, m)
 	err := o.notifyTransfer(ctx, ref, m)
 	// Oneways have no reply; completion for the call interceptors is the

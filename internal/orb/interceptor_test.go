@@ -150,7 +150,7 @@ func TestObserverTracesSurviveResetAndReplay(t *testing.T) {
 
 	inc := func(ctx context.Context, by int64) (int64, error) {
 		var v int64
-		err := proxy.Invoke(ctx, "inc",
+		err := proxy.Call(ctx, "inc",
 			func(e *cdr.Encoder) { e.PutInt64(by) },
 			func(d *cdr.Decoder) error { v = d.GetInt64(); return d.Err() })
 		return v, err

@@ -31,31 +31,18 @@ type Dialer interface {
 // failures on accepted connections.
 type ListenFunc func(network, addr string) (net.Listener, error)
 
-// Interceptor observes and may mutate protocol messages at the four
-// classical interception points (CORBA portable interceptor analogue).
-// Implementations must be safe for concurrent use.
-type Interceptor interface {
-	// SendRequest runs on the client before a request is written.
-	SendRequest(m *giop.Message)
-	// ReceiveReply runs on the client after a reply is read.
-	ReceiveReply(m *giop.Message)
-	// ReceiveRequest runs on the server after a request is read.
-	ReceiveRequest(m *giop.Message)
-	// SendReply runs on the server before a reply is written.
-	SendReply(m *giop.Message)
-}
-
-// CallInterceptor observes invocations with their contexts at the four
-// interception points, after the message-level Interceptors have run. It
-// exists for cross-cutting concerns that need request correlation —
+// CallInterceptor observes invocations with their contexts, and may
+// mutate their messages, at the four classical interception points (CORBA
+// portable interceptor analogue). Cross-cutting concerns live here:
 // distributed tracing (obs.Observer) injects and extracts the SCTrace
-// service context here. The context returned by RequestSent flows to the
-// matching ReplyReceived; the context returned by DispatchStart is the
-// one the servant sees via ServerContext.Context, and flows to
-// DispatchEnd. Implementations must be safe for concurrent use.
+// service context, the simulated cluster propagates virtual time. The
+// context returned by RequestSent flows to the matching ReplyReceived;
+// the context returned by DispatchStart is the one the servant sees via
+// ServerContext.Context, and flows to DispatchEnd. Implementations must
+// be safe for concurrent use.
 type CallInterceptor interface {
-	// RequestSent runs on the client after a request is assembled and
-	// message-intercepted, before it is written to the wire.
+	// RequestSent runs on the client after a request is assembled,
+	// before it is written to the wire.
 	RequestSent(ctx context.Context, m *giop.Message) context.Context
 	// ReplyReceived runs on the client when the invocation completes:
 	// reply is nil for oneways and transport failures, err is the
@@ -63,8 +50,8 @@ type CallInterceptor interface {
 	ReplyReceived(ctx context.Context, req, reply *giop.Message, err error)
 	// DispatchStart runs on the server before the servant is invoked.
 	DispatchStart(ctx context.Context, req *giop.Message) context.Context
-	// DispatchEnd runs on the server after the reply is assembled and
-	// message-intercepted (reply is nil for oneway dispatches).
+	// DispatchEnd runs on the server after the reply is assembled, before
+	// it is written (reply is nil for oneway dispatches).
 	DispatchEnd(ctx context.Context, req, reply *giop.Message)
 }
 
@@ -78,18 +65,12 @@ type Options struct {
 	CallTimeout time.Duration
 	// DialTimeout bounds connection establishment. Zero means 10s.
 	DialTimeout time.Duration
-	// Interceptors are applied in order on send and in reverse on receive.
-	Interceptors []Interceptor
-	// CallInterceptors run after Interceptors at each hook, in order on
-	// the outbound points and in reverse on the inbound ones.
+	// CallInterceptors run in order on the outbound points and in
+	// reverse on the inbound ones.
 	CallInterceptors []CallInterceptor
-	// MaxServerWorkers is the legacy name for WorkerPool and is honoured
-	// only when WorkerPool is zero. Unlike the pre-reactor ORB, the limit
-	// is process-wide, not per connection.
-	MaxServerWorkers int
 	// WorkerPool sizes the ORB-wide dispatch pool shared by every adapter
 	// connection: at most this many servant invocations run concurrently.
-	// Zero means max(8, 2×GOMAXPROCS) (after MaxServerWorkers, see above).
+	// Zero means max(8, 2×GOMAXPROCS).
 	WorkerPool int
 	// ReadBatch caps how many request frames one connection's read loop
 	// hands to the dispatch pool per wakeup. Larger batches amortize
@@ -226,15 +207,9 @@ func (o *ORB) Name() string { return o.opts.Name }
 // nextRequestID allocates a process-unique request id.
 func (o *ORB) nextRequestID() uint32 { return o.reqID.Add(1) }
 
-// AddInterceptor registers an interceptor after construction. It is not
-// safe to call concurrently with active invocations; register interceptors
-// during setup.
-func (o *ORB) AddInterceptor(i Interceptor) {
-	o.opts.Interceptors = append(o.opts.Interceptors, i)
-}
-
-// AddCallInterceptor registers a context-aware interceptor after
-// construction. Like AddInterceptor, register during setup only.
+// AddCallInterceptor registers an interceptor after construction. It is
+// not safe to call concurrently with active invocations; register
+// interceptors during setup.
 func (o *ORB) AddCallInterceptor(ci CallInterceptor) {
 	o.opts.CallInterceptors = append(o.opts.CallInterceptors, ci)
 }
@@ -262,30 +237,6 @@ func (o *ORB) callDispatchStart(ctx context.Context, req *giop.Message) context.
 func (o *ORB) callDispatchEnd(ctx context.Context, req, reply *giop.Message) {
 	for _, ci := range o.opts.CallInterceptors {
 		ci.DispatchEnd(ctx, req, reply)
-	}
-}
-
-func (o *ORB) interceptSendRequest(m *giop.Message) {
-	for _, i := range o.opts.Interceptors {
-		i.SendRequest(m)
-	}
-}
-
-func (o *ORB) interceptReceiveReply(m *giop.Message) {
-	for k := len(o.opts.Interceptors) - 1; k >= 0; k-- {
-		o.opts.Interceptors[k].ReceiveReply(m)
-	}
-}
-
-func (o *ORB) interceptReceiveRequest(m *giop.Message) {
-	for k := len(o.opts.Interceptors) - 1; k >= 0; k-- {
-		o.opts.Interceptors[k].ReceiveRequest(m)
-	}
-}
-
-func (o *ORB) interceptSendReply(m *giop.Message) {
-	for _, i := range o.opts.Interceptors {
-		i.SendReply(m)
 	}
 }
 

@@ -419,14 +419,24 @@ type countingInterceptor struct {
 	sendReq, recvReply, recvReq, sendReply atomic.Int64
 }
 
-func (c *countingInterceptor) SendRequest(m *giop.Message)    { c.sendReq.Add(1) }
-func (c *countingInterceptor) ReceiveReply(m *giop.Message)   { c.recvReply.Add(1) }
-func (c *countingInterceptor) ReceiveRequest(m *giop.Message) { c.recvReq.Add(1) }
-func (c *countingInterceptor) SendReply(m *giop.Message)      { c.sendReply.Add(1) }
+func (c *countingInterceptor) RequestSent(ctx context.Context, _ *giop.Message) context.Context {
+	c.sendReq.Add(1)
+	return ctx
+}
+func (c *countingInterceptor) ReplyReceived(context.Context, *giop.Message, *giop.Message, error) {
+	c.recvReply.Add(1)
+}
+func (c *countingInterceptor) DispatchStart(ctx context.Context, _ *giop.Message) context.Context {
+	c.recvReq.Add(1)
+	return ctx
+}
+func (c *countingInterceptor) DispatchEnd(context.Context, *giop.Message, *giop.Message) {
+	c.sendReply.Add(1)
+}
 
 func TestInterceptorsRunAtAllPoints(t *testing.T) {
 	ic := &countingInterceptor{}
-	o, _, ref, _ := newTestPair(t, Options{Interceptors: []Interceptor{ic}})
+	o, _, ref, _ := newTestPair(t, Options{CallInterceptors: []CallInterceptor{ic}})
 	if _, err := callAdd(o, ref, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -442,20 +452,27 @@ type ctxInterceptor struct {
 	sawContext atomic.Bool
 }
 
-func (c *ctxInterceptor) SendRequest(m *giop.Message) { m.SetContext(7, []byte("stamp")) }
-func (c *ctxInterceptor) ReceiveReply(m *giop.Message) {
-	if string(m.Context(8)) == "pmats" {
+func (c *ctxInterceptor) RequestSent(ctx context.Context, m *giop.Message) context.Context {
+	m.SetContext(7, []byte("stamp"))
+	return ctx
+}
+func (c *ctxInterceptor) ReplyReceived(_ context.Context, _, reply *giop.Message, _ error) {
+	if reply != nil && string(reply.Context(8)) == "pmats" {
 		c.sawContext.Store(true)
 	}
 }
-func (c *ctxInterceptor) ReceiveRequest(m *giop.Message) {}
-func (c *ctxInterceptor) SendReply(m *giop.Message) {
-	m.SetContext(8, []byte("pmats"))
+func (c *ctxInterceptor) DispatchStart(ctx context.Context, _ *giop.Message) context.Context {
+	return ctx
+}
+func (c *ctxInterceptor) DispatchEnd(_ context.Context, req, reply *giop.Message) {
+	if string(req.Context(7)) == "stamp" {
+		reply.SetContext(8, []byte("pmats"))
+	}
 }
 
 func TestServiceContextsPropagate(t *testing.T) {
 	ic := &ctxInterceptor{}
-	o, _, ref, _ := newTestPair(t, Options{Interceptors: []Interceptor{ic}})
+	o, _, ref, _ := newTestPair(t, Options{CallInterceptors: []CallInterceptor{ic}})
 	if _, err := callAdd(o, ref, 1, 1); err != nil {
 		t.Fatal(err)
 	}

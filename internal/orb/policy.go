@@ -43,9 +43,6 @@ type CallOptions struct {
 	// NoCoalesce flushes this call's request immediately instead of riding
 	// the connection's write-coalescing window (Options.CoalesceWindow).
 	NoCoalesce bool
-	// Checkpoint overrides a fault-tolerant proxy's checkpoint behaviour
-	// for this call. The plain ORB ignores it; ft.Proxy.Call interprets it.
-	Checkpoint CheckpointMode
 	// Priority is the call's QoS class, carried to the server in the
 	// SCQoS service context. The zero value (ClassNormal) with an empty
 	// Tenant sends no context at all — indistinguishable from a pre-QoS

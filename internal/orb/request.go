@@ -81,7 +81,6 @@ func (r *Request) Send() {
 	m, enc := r.orb.buildRequest(r.ref, r.op, func(e *cdr.Encoder) {
 		e.PutRaw(r.args.Bytes())
 	})
-	r.orb.interceptSendRequest(m)
 	sctx := r.orb.callRequestSent(r.ctx, m)
 	r.mu.Lock()
 	r.msg, r.benc, r.sentCtx = m, enc, sctx
@@ -135,7 +134,6 @@ func (r *Request) GetResponse(readReply func(*cdr.Decoder) error) error {
 	if !intercepted {
 		// Receive interceptors run here, in the consumer's goroutine, at
 		// most once per request (GetResponse may be called repeatedly).
-		r.orb.interceptReceiveReply(r.reply)
 		r.orb.callReplyReceived(r.sentCtx, r.msg, r.reply, nil)
 		// The pooled request-body encoder is only released once every
 		// observer of msg.Body has run.

@@ -124,7 +124,7 @@ func TestServerHandlesSlowClient(t *testing.T) {
 // TestServerWorkerCapRespected floods the adapter with slow calls and
 // checks the configured dispatch cap is never exceeded.
 func TestServerWorkerCapRespected(t *testing.T) {
-	o := New(Options{MaxServerWorkers: 2})
+	o := New(Options{WorkerPool: 2})
 	defer o.Shutdown()
 	a, err := o.NewAdapter("127.0.0.1:0")
 	if err != nil {

@@ -756,7 +756,6 @@ func (o *ORB) exportConnInflight(emit func(labelValues []string, v float64)) {
 // sctx is the caller-owned ServerContext scratch for this dispatch.
 func (a *Adapter) dispatch(t *dispatchTask, peer string, req *giop.Message, sctx *ServerContext) (*giop.Message, func()) {
 	a.orb.counters.requestsServed.Add(1)
-	a.orb.interceptReceiveRequest(req)
 	rctx := a.orb.callDispatchStart(t.rctx, req)
 
 	reply := giop.AcquireMessage()
@@ -791,7 +790,6 @@ func (a *Adapter) dispatch(t *dispatchTask, peer string, req *giop.Message, sctx
 	}
 	in.Release()
 	reply.Contexts = append(reply.Contexts, sctx.replyContexts...)
-	a.orb.interceptSendReply(reply)
 	a.orb.callDispatchEnd(rctx, req, reply)
 	return reply, out.Release
 }
@@ -802,7 +800,6 @@ func (a *Adapter) dispatch(t *dispatchTask, peer string, req *giop.Message, sctx
 // go. This path is allocation-free in the steady state.
 func (a *Adapter) dispatchOneway(t *dispatchTask, peer string, req *giop.Message, sctx *ServerContext) {
 	a.orb.counters.requestsServed.Add(1)
-	a.orb.interceptReceiveRequest(req)
 	rctx := a.orb.callDispatchStart(t.rctx, req)
 
 	*sctx = ServerContext{ORB: a.orb, Adapter: a, Peer: peer, Priority: t.class, Tenant: t.tenant, Request: req, ctx: rctx, replyContexts: sctx.replyContexts[:0]}

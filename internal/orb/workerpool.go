@@ -108,15 +108,12 @@ type workerPool struct {
 	closed   bool
 }
 
-// poolSize resolves the worker count: WorkerPool wins, then the legacy
-// MaxServerWorkers cap, then a GOMAXPROCS-derived default with a floor
-// that keeps blocking servants from serializing small machines.
+// poolSize resolves the worker count: WorkerPool wins, then a
+// GOMAXPROCS-derived default with a floor that keeps blocking servants
+// from serializing small machines.
 func poolSize(opts *Options) int {
 	if opts.WorkerPool > 0 {
 		return opts.WorkerPool
-	}
-	if opts.MaxServerWorkers > 0 {
-		return opts.MaxServerWorkers
 	}
 	n := 2 * runtime.GOMAXPROCS(0)
 	if n < 8 {

@@ -307,9 +307,9 @@ func (m *Manager) runOneSegment(ctx context.Context, seg, w, minW, maxW int) (*R
 	return res, err
 }
 
-// teardown closes the current placement — draining each proxy's
-// checkpoint pipeline, accumulating its stats and releasing any
-// exclusive offer claims — so the next segment places fresh.
+// teardown closes the current placement — accumulating each proxy's
+// stats and releasing any exclusive offer claims — so the next segment
+// places fresh.
 func (m *Manager) teardown() {
 	if m.handles == nil {
 		return
@@ -321,7 +321,6 @@ func (m *Manager) teardown() {
 		switch hh := h.(type) {
 		case proxyHandle:
 			ref := hh.p.Ref()
-			_ = hh.p.Close()
 			s := hh.p.Stats()
 			m.es.ProxyStats.Calls += s.Calls
 			m.es.ProxyStats.Checkpoints += s.Checkpoints
@@ -330,7 +329,6 @@ func (m *Manager) teardown() {
 			m.es.ProxyStats.Replays += s.Replays
 			m.es.ProxyStats.CheckpointBytes += s.CheckpointBytes
 			m.es.ProxyStats.DeltaCheckpoints += s.DeltaCheckpoints
-			m.es.ProxyStats.AsyncCheckpoints += s.AsyncCheckpoints
 			if rel != nil {
 				rel.Release(ref)
 			}

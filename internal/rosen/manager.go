@@ -199,7 +199,6 @@ func (m *Manager) ProxyStats() ft.Stats {
 		total.Replays += s.Replays
 		total.CheckpointBytes += s.CheckpointBytes
 		total.DeltaCheckpoints += s.DeltaCheckpoints
-		total.AsyncCheckpoints += s.AsyncCheckpoints
 	}
 	return total
 }
@@ -270,17 +269,6 @@ func (m *Manager) place(ctx context.Context, workers int) error {
 	return nil
 }
 
-// Close releases per-worker resources: each fault-tolerant proxy's async
-// checkpoint pipeline is drained and stopped. The manager stays usable —
-// later checkpoints are simply stored synchronously.
-func (m *Manager) Close() {
-	for _, h := range m.handles {
-		if ph, ok := h.(proxyHandle); ok {
-			_ = ph.p.Close()
-		}
-	}
-}
-
 func proxyOptions(o *FTOptions) []ft.ProxyOption {
 	var opts []ft.ProxyOption
 	if o.Unbinder != nil {
@@ -319,9 +307,6 @@ func (m *Manager) Run(ctx context.Context) (*Result, error) {
 	if err := m.Place(ctx); err != nil {
 		return nil, err
 	}
-	// Land every pipelined checkpoint before Run returns, so callers
-	// reading the store (or ProxyStats) observe the final epochs.
-	defer m.Close()
 	return m.runSegment(ctx, m.cfg.Workers, nil)
 }
 
