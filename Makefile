@@ -1,10 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-check chaos generate bench bench-json
+.PHONY: check fmt vet build test race bench-check fuzz chaos generate bench bench-json
 
-## check: everything CI runs — formatting, vet, build, race-enabled tests,
-## and the benchmark harness's own vet and tests.
-check: fmt vet build race bench-check
+## FUZZTIME is how long `make fuzz` runs each fuzz target.
+FUZZTIME ?= 10s
+
+## check: everything CI's check job runs — formatting, vet, build,
+## race-enabled tests, the benchmark harness's own vet and tests, and every
+## fuzz target for FUZZTIME.
+check: fmt vet build race bench-check fuzz
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -28,6 +32,14 @@ race:
 bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+## fuzz: every native fuzz target for FUZZTIME each, from its seed corpus
+## (go test -fuzz takes one package and one target per run). A finding is
+## written under the package's testdata/fuzz/ and fails the target.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzServiceContexts$$' -fuzztime $(FUZZTIME) ./internal/giop
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME) ./internal/giop
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 ## chaos: the fault-injection soaks — Rosenbrock under worker kills, a
 ## naming partition, checkpoint-path delays and a checkpointd replica

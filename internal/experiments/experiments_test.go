@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -88,54 +89,118 @@ func TestFigure3RejectsOversizedCase(t *testing.T) {
 	}
 }
 
+// tinyTable1 is the Table 1 sweep at test size: a budget at which the
+// middleware is most of a worker call and one at which the solve is.
 func tinyTable1() Table1Config {
 	return Table1Config{
 		N: 20, Workers: 3,
-		Iterations:        []int{20, 400},
+		Iterations:        []int{2, 2000},
 		ManagerIterations: 2,
 		Seed:              1,
-		Repeats:           1,
+		// Each cell is the minimum of three runs: one wall-clock sample of
+		// a few milliseconds is at the mercy of whatever else the host is
+		// doing.
+		Repeats: 3,
 	}
+}
+
+// requestsPerCall runs one Table 1 cell and returns how many requests the
+// manager's ORB sent per worker call, placement excluded. Unlike the
+// cell's runtime it is exact: the cost of a call counted, not timed.
+func requestsPerCall(t *testing.T, iters int, useProxy bool) uint64 {
+	t.Helper()
+	cell, err := runTable1Cell(tinyTable1(), iters, useProxy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.calls == 0 || cell.sent%uint64(cell.calls) != 0 {
+		t.Fatalf("iters=%d proxy=%v: %d requests for %d worker calls", iters, useProxy, cell.sent, cell.calls)
+	}
+	return cell.sent / uint64(cell.calls)
+}
+
+// onAQuietHost is for what only the clock can say. The tests below assert
+// Table 1's structure by counting requests; the direction of its
+// wall-clock numbers they check as well, but a few milliseconds measured
+// while the rest of the suite runs beside them can point anywhere, so the
+// measurement gets three tries to find a quiet moment.
+func onAQuietHost(t *testing.T, measure func() error) {
+	t.Helper()
+	var err error
+	for try := 1; try <= 3; try++ {
+		if err = measure(); err == nil {
+			return
+		}
+		t.Logf("try %d: %v", try, err)
+	}
+	t.Fatal(err)
 }
 
 func TestTable1OverheadShrinksWithWork(t *testing.T) {
-	rows, err := RunTable1(tinyTable1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Plain <= 0 || r.Proxy <= 0 {
-			t.Fatalf("non-positive runtime: %+v", r)
-		}
-		if r.Checkpoints == 0 {
-			t.Fatalf("no checkpoints recorded: %+v", r)
+	// What a proxy adds to a worker call does not depend on how long the
+	// call computes: one more request, at either budget.
+	cfg := tinyTable1()
+	for _, iters := range cfg.Iterations {
+		plain, proxy := requestsPerCall(t, iters, false), requestsPerCall(t, iters, true)
+		if proxy-plain != 1 {
+			t.Fatalf("iters=%d: %d requests per call with proxies, %d without, want one more", iters, proxy, plain)
 		}
 	}
-	// The paper's core observation: "the relative slowdown is lower the
-	// more time is spent in the called method". Wall-clock noise can
-	// wiggle single measurements, so only require monotone direction
-	// with generous slack.
-	if rows[1].OverheadPct() > rows[0].OverheadPct()+25 {
-		t.Fatalf("overhead did not shrink: %v%% -> %v%%",
-			rows[0].OverheadPct(), rows[1].OverheadPct())
-	}
+	// So, the paper's core observation: "the relative slowdown is lower
+	// the more time is spent in the called method". Only the direction is
+	// required, with generous slack.
+	onAQuietHost(t, func() error {
+		rows, err := RunTable1(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2 {
+			t.Fatalf("rows = %d", len(rows))
+		}
+		for _, r := range rows {
+			if r.Plain <= 0 || r.Proxy <= 0 {
+				t.Fatalf("non-positive runtime: %+v", r)
+			}
+			if r.Checkpoints == 0 {
+				t.Fatalf("no checkpoints recorded: %+v", r)
+			}
+		}
+		if rows[1].Plain <= rows[0].Plain {
+			return fmt.Errorf("a thousand times the iterations ran no longer: %+v", rows)
+		}
+		if rows[1].OverheadPct() > rows[0].OverheadPct()+25 {
+			return fmt.Errorf("overhead did not shrink: %v%% -> %v%%", rows[0].OverheadPct(), rows[1].OverheadPct())
+		}
+		return nil
+	})
 }
 
 func TestTable1ProxyCostsMoreThanPlain(t *testing.T) {
+	// The structural fact under Table 1, counted on the manager's ORB: a
+	// worker call through a plain stub is one request; through a proxy
+	// that checkpoints every call it is two — the call, whose reply brings
+	// the state back, and the store put.
 	cfg := tinyTable1()
-	cfg.Iterations = []int{20}
-	rows, err := RunTable1(cfg)
-	if err != nil {
-		t.Fatal(err)
+	tiny := cfg.Iterations[0]
+	if n := requestsPerCall(t, tiny, false); n != 1 {
+		t.Fatalf("plain stubs: %d requests per worker call, want 1", n)
 	}
-	// At tiny per-call work the checkpoint round trips must dominate:
-	// proxy strictly slower.
-	if rows[0].Proxy <= rows[0].Plain {
-		t.Fatalf("proxy not slower at tiny work: %+v", rows[0])
+	if n := requestsPerCall(t, tiny, true); n != 2 {
+		t.Fatalf("proxies: %d requests per worker call, want 2 (call + put)", n)
 	}
+	// The clock agrees in direction at tiny per-call work, where the
+	// second request is most of the call.
+	cfg.Iterations = []int{tiny}
+	onAQuietHost(t, func() error {
+		rows, err := RunTable1(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[0].Proxy <= rows[0].Plain {
+			return fmt.Errorf("proxy not slower at tiny work: %+v", rows[0])
+		}
+		return nil
+	})
 }
 
 func TestMixedClusterAblationWinnerFaster(t *testing.T) {

@@ -155,38 +155,49 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	}
 	warm := cfg
 	warm.Iterations = nil
-	if _, _, err := runTable1Cell(warm, 20, false); err != nil {
+	if _, err := runTable1Cell(warm, 20, false); err != nil {
 		return nil, fmt.Errorf("table1 warm-up: %w", err)
 	}
 	var rows []Table1Row
 	for _, iters := range cfg.Iterations {
 		row := Table1Row{Iterations: iters}
 		for rep := 0; rep < cfg.Repeats; rep++ {
-			plain, _, err := runTable1Cell(cfg, iters, false)
+			plain, err := runTable1Cell(cfg, iters, false)
 			if err != nil {
 				return nil, fmt.Errorf("table1 iters=%d plain: %w", iters, err)
 			}
-			proxy, ckpts, err := runTable1Cell(cfg, iters, true)
+			proxy, err := runTable1Cell(cfg, iters, true)
 			if err != nil {
 				return nil, fmt.Errorf("table1 iters=%d proxy: %w", iters, err)
 			}
-			if rep == 0 || plain < row.Plain {
-				row.Plain = plain
+			if rep == 0 || plain.runtime < row.Plain {
+				row.Plain = plain.runtime
 			}
-			if rep == 0 || proxy < row.Proxy {
-				row.Proxy = proxy
+			if rep == 0 || proxy.runtime < row.Proxy {
+				row.Proxy = proxy.runtime
 			}
-			row.Checkpoints = ckpts
+			// One checkpoint per successful worker call.
+			row.Checkpoints = uint64(proxy.calls)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func runTable1Cell(cfg Table1Config, iters int, useProxy bool) (float64, uint64, error) {
+// table1Cell is what one run of one cell measured.
+type table1Cell struct {
+	runtime float64 // wall-clock seconds of the optimization
+	calls   int64   // worker calls the manager made
+	// sent is how many requests left the manager's ORB during the
+	// optimization, placement excluded: what a worker call costs on the
+	// wire, counted instead of timed.
+	sent uint64
+}
+
+func runTable1Cell(cfg Table1Config, iters int, useProxy bool) (table1Cell, error) {
 	w, err := newTable1World(cfg.Workers, cfg.Observer)
 	if err != nil {
-		return 0, 0, err
+		return table1Cell{}, err
 	}
 	defer w.close()
 
@@ -204,14 +215,18 @@ func runTable1Cell(cfg Table1Config, iters int, useProxy bool) (float64, uint64,
 			Unbinder: w.naming,
 		})
 	}
-	res, err := m.Run(context.Background())
+	ctx := context.Background()
+	if err := m.Place(ctx); err != nil {
+		return table1Cell{}, err
+	}
+	placed := w.manager.Stats().RequestsSent
+	res, err := m.Run(ctx)
 	if err != nil {
-		return 0, 0, err
+		return table1Cell{}, err
 	}
-	var ckpts uint64
-	if useProxy {
-		// Checkpoint count equals successful worker calls (one per call).
-		ckpts = uint64(res.WorkerCalls)
-	}
-	return res.Runtime, ckpts, nil
+	return table1Cell{
+		runtime: res.Runtime,
+		calls:   res.WorkerCalls,
+		sent:    w.manager.Stats().RequestsSent - placed,
+	}, nil
 }

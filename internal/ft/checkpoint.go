@@ -11,8 +11,10 @@ package ft
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/orb"
 )
 
@@ -40,11 +42,25 @@ type Checkpointable interface {
 const ExCheckpointFailed = "IDL:repro/FT/CheckpointFailed:1.0"
 
 // Wrapper extends any servant with the checkpointing operations. Business
-// operations pass through to Inner; OpCheckpoint/OpRestore go to State.
-// Inner and State are typically the same object.
+// operations pass through to Inner; when the request carries the
+// giop.SCCheckpoint mark — a proxy sets it on the call after which a
+// checkpoint is due — and Inner succeeded, the wrapper captures State and
+// sends it back on the same reply, stamped with a capture sequence number,
+// so a checkpointed call costs the caller no fetch of its own. A request
+// without the mark (a plain stub's) never reaches State. OpCheckpoint and
+// OpRestore go to State directly: they are how Proxy.Migrate reads a live
+// server and how recovery installs a stored state. Inner and State are
+// typically the same object.
 type Wrapper struct {
 	Inner orb.Servant
 	State Checkpointable
+
+	// mu makes capture order and sequence order the same thing: the
+	// sequence number is taken under the lock that spans Checkpoint(), so
+	// of two snapshots the one with the higher number holds every effect
+	// the other does.
+	mu  sync.Mutex
+	seq uint64
 }
 
 // Wrap builds a Wrapper for a servant that implements both orb.Servant and
@@ -78,12 +94,36 @@ func (w *Wrapper) Invoke(ctx *orb.ServerContext, op string, in *cdr.Decoder, out
 			return &orb.UserException{RepoID: ExCheckpointFailed, Detail: err.Error()}
 		}
 		return nil
-	default:
-		return w.Inner.Invoke(ctx, op, in, out)
+	}
+	if err := w.Inner.Invoke(ctx, op, in, out); err != nil {
+		return err
+	}
+	if ctx.Request.HasContext(giop.SCCheckpoint) {
+		w.attachState(ctx)
+	}
+	return nil
+}
+
+// attachState captures the state the operation just produced and attaches
+// it to the reply. A servant that cannot serialize itself still answers
+// the business call: the reply simply goes without the context, which the
+// proxy counts as a failed checkpoint.
+func (w *Wrapper) attachState(ctx *orb.ServerContext) {
+	w.mu.Lock()
+	data, err := w.State.Checkpoint()
+	if err == nil {
+		w.seq++
+	}
+	seq := w.seq
+	w.mu.Unlock()
+	if err == nil {
+		ctx.AddReplyContext(giop.SCCheckpoint, giop.EncodeCheckpoint(seq, data))
 	}
 }
 
-// FetchCheckpoint pulls the current state blob from the servant at ref.
+// FetchCheckpoint pulls the current state blob from the servant at ref
+// with a round trip of its own. Proxied calls do not use it — their state
+// rides the business reply; Proxy.Migrate does, to read a live source.
 func FetchCheckpoint(ctx context.Context, o *orb.ORB, ref orb.ObjectRef) ([]byte, error) {
 	var data []byte
 	err := o.Call(ctx, ref, OpCheckpoint, nil, func(d *cdr.Decoder) error {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
+	"repro/internal/orb"
 )
 
 // putFull and getFull keep the (epoch, data) shape of the pre-Checkpoint
@@ -84,4 +86,46 @@ func (s *recordingStore) history() []Checkpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Checkpoint(nil), s.puts...)
+}
+
+// clientHook is an orb.CallInterceptor whose client-side points run test
+// code: sent sees every request as it leaves, reply every reply as it is
+// handed back (both on the calling goroutine).
+type clientHook struct {
+	sent  func(m *giop.Message)
+	reply func(req, reply *giop.Message, err error)
+}
+
+func (h *clientHook) RequestSent(ctx context.Context, m *giop.Message) context.Context {
+	if h.sent != nil {
+		h.sent(m)
+	}
+	return ctx
+}
+
+func (h *clientHook) ReplyReceived(_ context.Context, req, reply *giop.Message, err error) {
+	if h.reply != nil {
+		h.reply(req, reply, err)
+	}
+}
+
+func (h *clientHook) DispatchStart(ctx context.Context, _ *giop.Message) context.Context { return ctx }
+func (h *clientHook) DispatchEnd(context.Context, *giop.Message, *giop.Message)          {}
+
+// afterServant runs after once the counter has executed an inc, with the
+// value it reached — the point at which a test kills the reply's way back.
+type afterServant struct {
+	*counterServant
+	after func(value int64)
+}
+
+func (s *afterServant) Invoke(ctx *orb.ServerContext, op string, in *cdr.Decoder, out *cdr.Encoder) error {
+	err := s.counterServant.Invoke(ctx, op, in, out)
+	if err == nil && op == "inc" {
+		s.mu.Lock()
+		v := s.value
+		s.mu.Unlock()
+		s.after(v)
+	}
+	return err
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/naming"
 	"repro/internal/obs"
 	"repro/internal/orb"
@@ -40,7 +41,10 @@ type PushedResolver interface {
 type Policy struct {
 	// CheckpointEvery stores a checkpoint after every Nth successful
 	// call. 1 (the paper's default) checkpoints after each call; 0
-	// disables checkpointing (stateless services).
+	// disables checkpointing (stateless services). The call after which
+	// one is due carries the giop.SCCheckpoint mark and its reply brings
+	// the state back, so a checkpointed call is two requests: the call and
+	// the store put.
 	CheckpointEvery int
 	// MaxRecoveries bounds recovery attempts per call (default 3). It maps
 	// onto the call engine's retry budget.
@@ -54,9 +58,10 @@ type Policy struct {
 	// regardless of idempotency because the restored checkpoint rewinds
 	// the server to the pre-call state.
 	RecoverOn func(error) bool
-	// StrictCheckpoint makes a failed post-call checkpoint fail the call.
-	// Off by default: the business result is already known; the failure
-	// is still counted in Stats.
+	// StrictCheckpoint makes a failed post-call checkpoint — a reply that
+	// came back without the state it was asked for, or a store put that
+	// failed — fail the call. Off by default: the business result is
+	// already known; the failure is still counted in Stats.
 	StrictCheckpoint bool
 	// DeltaCheckpoint encodes each checkpoint as a delta against the
 	// previously produced state when that is smaller, cutting checkpoint
@@ -95,13 +100,19 @@ type RecoveryError = orb.RetryError
 // for the IDL stub, forwards every operation, checkpoints the server state
 // after successful calls, and on failure re-resolves the service name,
 // restores the last checkpoint into the fresh server object and replays
-// the call. The forward/recover/replay loop itself is the ORB's resilient
-// call engine; the proxy contributes the recovery step (unbind dead offer,
-// re-resolve, restore checkpoint). Proxies are safe for concurrent use;
-// recovery is serialized.
+// the call. The state to checkpoint comes back on the business reply
+// itself (see Wrapper): a reply that reports success carries the state
+// that call produced, so there is no moment at which the client knows of
+// a success the store cannot reproduce except the put itself. The
+// forward/recover/replay loop is the ORB's resilient call engine; the
+// proxy contributes the recovery step (unbind dead offer, re-resolve,
+// restore checkpoint). Proxies are safe for concurrent use; recovery is
+// serialized, and snapshots are stored in the order the servant captured
+// them whatever order their replies arrive in.
 type Proxy struct {
 	orb      *orb.ORB
 	name     naming.Name
+	key      string // name.String(), computed once: the checkpoint key and every span's name attribute
 	resolver Resolver
 	store    Store
 	unbinder Unbinder
@@ -116,12 +127,20 @@ type Proxy struct {
 	// recoverMu serializes whole recovery sequences.
 	recoverMu sync.Mutex
 
-	// ckptMu serializes checkpoint production — epoch allocation and delta
-	// encoding against lastFull. Lock order: ckptMu before mu, never the
-	// reverse.
+	// ckptMu serializes checkpoint production — the capture-order check,
+	// epoch allocation and delta encoding against lastFull. Lock order:
+	// ckptMu before mu, never the reverse.
 	ckptMu    sync.Mutex
 	lastFull  []byte // full state of the newest produced checkpoint
 	lastEpoch uint64 // epoch of lastFull
+	// snapRef and snapSeq identify the newest snapshot given an epoch: the
+	// servant it came from and that servant's capture sequence number. A
+	// snapshot from the same servant with a lower number is older than
+	// what the store already has and is dropped. Recovery and Migrate
+	// clear snapRef, since the servant behind a reference may be a new one
+	// counting from 1.
+	snapRef orb.ObjectRef
+	snapSeq uint64
 }
 
 // ProxyOption customizes a Proxy.
@@ -145,6 +164,7 @@ func NewProxy(ctx context.Context, o *orb.ORB, name naming.Name, resolver Resolv
 	p := &Proxy{
 		orb:      o,
 		name:     name,
+		key:      name.String(),
 		resolver: resolver,
 		store:    store,
 		policy:   policy.withDefaults(),
@@ -163,16 +183,13 @@ func NewProxy(ctx context.Context, o *orb.ORB, name naming.Name, resolver Resolv
 		// Adopt any pre-existing checkpoint so our next Put is newer (a
 		// previous proxy incarnation may have written some) and the first
 		// delta has a base the store actually holds.
-		if cp, err := p.store.Get(ctx, p.key()); err == nil {
+		if cp, err := p.store.Get(ctx, p.key); err == nil {
 			p.epoch = cp.Epoch
 			p.lastFull, p.lastEpoch = cp.Data, cp.Epoch
 		}
 	}
 	return p, nil
 }
-
-// key is the checkpoint key: the service name.
-func (p *Proxy) key() string { return p.name.String() }
 
 // Ref returns the reference currently used.
 func (p *Proxy) Ref() orb.ObjectRef {
@@ -219,38 +236,86 @@ func (p *Proxy) caller() *orb.Caller {
 // advertises.
 func (p *Proxy) Call(ctx context.Context, op string, writeArgs func(*cdr.Encoder), readReply func(*cdr.Decoder) error, opts ...orb.CallOption) error {
 	sctx, span := obs.StartSpan(ctx, "ft.invoke",
-		obs.String("op", op), obs.String("name", p.name.String()))
+		obs.String("op", op), obs.String("name", p.key))
 	c := p.caller()
 	c.Opts.Apply(opts...)
+	// reply is allocated only for a marked call, so an unmarked one — every
+	// call of a proxy that never checkpoints — pays nothing for the seam.
+	var reply *giop.ServiceContext
+	if p.checkpointDue() {
+		// The engine re-applies its options on every attempt, so a replay
+		// against the recovered server is marked too.
+		reply = &giop.ServiceContext{ID: giop.SCCheckpoint}
+		c.Opts.RequestContext, c.Opts.ReplyContext = *reply, reply
+	}
 	err := c.Invoke(sctx, op, writeArgs, readReply)
 	if err == nil {
-		err = p.afterSuccess(sctx, c.Ref(), op)
+		var snap []byte
+		if reply != nil {
+			snap = reply.Data
+		}
+		err = p.afterSuccess(sctx, c.Ref(), op, reply != nil, snap)
 	}
 	span.EndErr(err)
 	return err
 }
 
-// afterSuccess counts the call and checkpoints every CheckpointEvery-th
-// one. The cadence counter resets only once a checkpoint is stored, so a
-// failed fetch or put is retried after the next successful call instead
-// of leaving a whole further interval unprotected.
-func (p *Proxy) afterSuccess(ctx context.Context, ref orb.ObjectRef, op string) error {
+// checkpointDue reports whether the call about to be sent is the one
+// after which a checkpoint is due, and must therefore ask for the state.
+func (p *Proxy) checkpointDue() bool {
+	if p.store == nil || p.policy.CheckpointEvery <= 0 {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.sinceCkpt+1 >= p.policy.CheckpointEvery
+}
+
+// afterSuccess counts the call and, when it was marked, stores the state
+// its reply brought back in snap (the reply's SCCheckpoint data, nil when
+// it had none). The cadence counter resets only once a checkpoint is
+// stored, so a failed one is retried after the next successful call
+// instead of leaving a whole further interval unprotected.
+func (p *Proxy) afterSuccess(ctx context.Context, ref orb.ObjectRef, op string, marked bool, snap []byte) error {
 	p.mu.Lock()
 	p.stats.Calls++
-	due := false
 	if p.policy.CheckpointEvery > 0 {
 		p.sinceCkpt++
-		due = p.sinceCkpt >= p.policy.CheckpointEvery
 	}
 	p.mu.Unlock()
-	if !due {
+	if !marked {
 		return nil
 	}
-	if err := p.checkpoint(ctx, ref); err != nil {
-		if p.policy.StrictCheckpoint {
-			return fmt.Errorf("ft: post-call checkpoint of %s after %s: %w", p.name, op, err)
-		}
+	if err := p.storeSnapshot(ctx, ref, snap); err != nil && p.policy.StrictCheckpoint {
+		return fmt.Errorf("ft: post-call checkpoint of %s after %s: %w", p.name, op, err)
+	}
+	return nil
+}
+
+// errNoState is what a marked call's checkpoint fails with when its reply
+// came back bare.
+var errNoState = errors.New("ft: reply carries no checkpoint (servant not wrapped, or it could not serialize its state)")
+
+// storeSnapshot stores the state that came back on a marked call's reply
+// from ref. A snapshot the servant captured before one already stored is
+// dropped: the stored one holds every effect it does, so nothing is lost
+// and nothing is counted.
+func (p *Proxy) storeSnapshot(ctx context.Context, ref orb.ObjectRef, payload []byte) error {
+	seq, state, ok := giop.DecodeCheckpoint(payload)
+	if !ok {
+		p.checkpointFailed()
+		return errNoState
+	}
+	p.ckptMu.Lock()
+	if ref == p.snapRef && seq <= p.snapSeq {
+		p.ckptMu.Unlock()
 		return nil
+	}
+	p.snapRef, p.snapSeq = ref, seq
+	cp := p.nextCheckpoint(state)
+	p.ckptMu.Unlock()
+	if err := p.storePut(ctx, ref, cp, state); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	p.sinceCkpt = 0
@@ -258,53 +323,53 @@ func (p *Proxy) afterSuccess(ctx context.Context, ref orb.ObjectRef, op string) 
 	return nil
 }
 
-// checkpoint pulls the server state and stores it under the next epoch,
-// synchronously: the call does not return before the store has it.
-func (p *Proxy) checkpoint(ctx context.Context, ref orb.ObjectRef) (err error) {
-	ctx, span := obs.StartSpan(ctx, "ft.checkpoint",
-		obs.String("name", p.name.String()), obs.String("target", ref.Addr))
-	defer func() { span.EndErr(err) }()
-	if p.store == nil {
-		return errors.New("ft: no checkpoint store configured")
-	}
-	data, err := FetchCheckpoint(ctx, p.orb, ref)
-	if err != nil {
-		p.mu.Lock()
-		p.stats.CheckpointFailures++
-		p.mu.Unlock()
-		return err
-	}
+// checkpointFailed counts a checkpoint that failed before it reached the
+// store (storePut counts the ones that fail there).
+func (p *Proxy) checkpointFailed() {
+	p.mu.Lock()
+	p.stats.CheckpointFailures++
+	p.mu.Unlock()
+}
 
-	p.ckptMu.Lock()
+// nextCheckpoint gives state the next epoch and its wire form: a delta
+// against the previous epoch's state when the policy asks for one and it
+// is smaller, the full state otherwise. The caller holds ckptMu.
+func (p *Proxy) nextCheckpoint(state []byte) Checkpoint {
 	p.mu.Lock()
 	p.epoch++
 	epoch := p.epoch
 	p.mu.Unlock()
-	cp := Full(epoch, data)
+	cp := Full(epoch, state)
 	if p.policy.DeltaCheckpoint && p.lastFull != nil && p.lastEpoch == epoch-1 {
-		if d := ComputeDelta(p.lastFull, data); len(d) < len(data) {
+		if d := ComputeDelta(p.lastFull, state); len(d) < len(state) {
 			cp = Checkpoint{Epoch: epoch, Base: epoch - 1, Data: d}
 			p.mu.Lock()
 			p.stats.DeltaCheckpoints++
 			p.mu.Unlock()
 		}
 	}
-	p.lastFull, p.lastEpoch = data, epoch
-	p.ckptMu.Unlock()
-	span.SetAttr("epoch", fmt.Sprintf("%d", epoch))
-	return p.storePut(ctx, cp, data)
+	p.lastFull, p.lastEpoch = state, epoch
+	return cp
 }
 
-// storePut writes cp to the store, re-sending a full snapshot when a
-// delta's base is not what the store holds (replica lag, lost epoch —
-// full snapshots always apply), and keeps the checkpoint counters.
-func (p *Proxy) storePut(ctx context.Context, cp Checkpoint, full []byte) error {
-	err := p.store.Put(ctx, p.key(), cp)
+// storePut writes cp — the state full, captured from the servant at ref —
+// to the store, synchronously: the call does not return before the store
+// has it. A delta whose base is not what the store holds (replica lag,
+// lost epoch) is re-sent as a full snapshot, which always applies.
+// storePut keeps the checkpoint counters.
+func (p *Proxy) storePut(ctx context.Context, ref orb.ObjectRef, cp Checkpoint, full []byte) error {
+	ctx, span := obs.StartSpan(ctx, "ft.checkpoint",
+		obs.String("name", p.key), obs.String("target", ref.Addr))
+	if span != nil {
+		span.SetAttr("epoch", fmt.Sprintf("%d", cp.Epoch))
+	}
+	err := p.store.Put(ctx, p.key, cp)
 	wrote := len(cp.Data)
 	if err != nil && cp.IsDelta() && errors.Is(err, ErrBadBase) {
-		err = p.store.Put(ctx, p.key(), Full(cp.Epoch, full))
+		err = p.store.Put(ctx, p.key, Full(cp.Epoch, full))
 		wrote += len(full)
 	}
+	span.EndErr(err)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err != nil {
@@ -331,7 +396,7 @@ func (p *Proxy) recoverFrom(ctx context.Context, dead orb.ObjectRef) (orb.Object
 	}
 
 	ctx, span := obs.StartSpan(ctx, "ft.recover",
-		obs.String("name", p.name.String()), obs.String("dead", dead.Addr))
+		obs.String("name", p.key), obs.String("dead", dead.Addr))
 	if pr, ok := p.resolver.(PushedResolver); ok {
 		// Push-maintained membership: sideline the dead member locally and
 		// skip the unbind RPC — the resolve below is local too, so this
@@ -364,7 +429,7 @@ func (p *Proxy) recoverFrom(ctx context.Context, dead orb.ObjectRef) (orb.Object
 // resolveFresh re-resolves the service name under its own span, so the
 // trace shows which replacement host the naming service picked.
 func (p *Proxy) resolveFresh(ctx context.Context) (orb.ObjectRef, error) {
-	ctx, span := obs.StartSpan(ctx, "ft.resolve", obs.String("name", p.name.String()))
+	ctx, span := obs.StartSpan(ctx, "ft.resolve", obs.String("name", p.key))
 	fresh, err := p.resolver.Resolve(ctx, p.name)
 	if err != nil {
 		err = fmt.Errorf("re-resolve %s: %w", p.name, err)
@@ -382,9 +447,15 @@ func (p *Proxy) restoreInto(ctx context.Context, ref orb.ObjectRef) error {
 	if p.store == nil {
 		return nil
 	}
+	// The servant about to be restored counts its captures on its own —
+	// from 1 if it is a restarted server behind the same reference — so
+	// the capture-order check starts afresh.
+	p.ckptMu.Lock()
+	p.snapRef = orb.ObjectRef{}
+	p.ckptMu.Unlock()
 	ctx, span := obs.StartSpan(ctx, "ft.restore",
-		obs.String("name", p.name.String()), obs.String("target", ref.Addr))
-	cp, err := p.store.Get(ctx, p.key())
+		obs.String("name", p.key), obs.String("target", ref.Addr))
+	cp, err := p.store.Get(ctx, p.key)
 	if errors.Is(err, ErrNoCheckpoint) {
 		span.SetAttr("no_checkpoint", "true")
 		span.End()
@@ -403,8 +474,8 @@ func (p *Proxy) restoreInto(ctx context.Context, ref orb.ObjectRef) error {
 	}
 	// The server's state is now exactly the store's newest snapshot; base
 	// the next delta on it. (If the producer-side epoch ran ahead of the
-	// store — failed puts — the base check in checkpoint() falls back to a
-	// full snapshot on its own.)
+	// store — failed puts — the base check in nextCheckpoint falls back to
+	// a full snapshot on its own.)
 	p.ckptMu.Lock()
 	p.lastFull, p.lastEpoch = cp.Data, cp.Epoch
 	p.ckptMu.Unlock()
@@ -432,10 +503,23 @@ func (p *Proxy) Notify(ctx context.Context, op string, writeArgs func(*cdr.Encod
 func (p *Proxy) Migrate(ctx context.Context, target orb.ObjectRef) (err error) {
 	cur := p.Ref()
 	ctx, span := obs.StartSpan(ctx, "ft.migrate",
-		obs.String("name", p.name.String()),
+		obs.String("name", p.key),
 		obs.String("from", cur.Addr), obs.String("to", target.Addr))
 	defer func() { span.EndErr(err) }()
-	if err := p.checkpoint(ctx, cur); err != nil {
+	if p.store == nil {
+		return errors.New("ft: migrate checkpoint: no checkpoint store configured")
+	}
+	// The source is alive and nobody is calling it on our behalf, so its
+	// state is read with a round trip of its own.
+	state, err := FetchCheckpoint(ctx, p.orb, cur)
+	if err != nil {
+		p.checkpointFailed()
+		return fmt.Errorf("ft: migrate checkpoint: %w", err)
+	}
+	p.ckptMu.Lock()
+	cp := p.nextCheckpoint(state)
+	p.ckptMu.Unlock()
+	if err := p.storePut(ctx, cur, cp, state); err != nil {
 		return fmt.Errorf("ft: migrate checkpoint: %w", err)
 	}
 	if err := p.restoreInto(ctx, target); err != nil {
@@ -457,7 +541,7 @@ func (p *Proxy) Migrate(ctx context.Context, target orb.ObjectRef) (err error) {
 func (p *Proxy) Seed(ctx context.Context, state []byte) (err error) {
 	cur := p.Ref()
 	ctx, span := obs.StartSpan(ctx, "ft.seed",
-		obs.String("name", p.name.String()), obs.String("target", cur.Addr))
+		obs.String("name", p.key), obs.String("target", cur.Addr))
 	defer func() { span.EndErr(err) }()
 	if err := PushRestore(ctx, p.orb, cur, state); err != nil {
 		return fmt.Errorf("ft: seed %s into %v: %w", p.name, cur, err)
@@ -473,5 +557,5 @@ func (p *Proxy) Seed(ctx context.Context, state []byte) (err error) {
 	p.lastFull, p.lastEpoch = state, epoch
 	p.ckptMu.Unlock()
 	span.SetAttr("epoch", fmt.Sprintf("%d", epoch))
-	return p.storePut(ctx, Full(epoch, state), state)
+	return p.storePut(ctx, cur, Full(epoch, state), state)
 }

@@ -76,6 +76,8 @@ type ftWorld struct {
 	adB      *orb.Adapter
 	ctrA     *counterServant
 	ctrB     *counterServant
+	refA     orb.ObjectRef
+	refB     orb.ObjectRef
 	naming   *naming.Client
 	nsSrv    *naming.Servant
 	nsHub    *naming.Hub
@@ -83,9 +85,27 @@ type ftWorld struct {
 	name     naming.Name
 }
 
+// ftWorldOpts vary the fixture for the fault-injection tests: the
+// transport seams and interceptors of the client and of server A, and the
+// servant server A activates (Wrap(ctrA) when nil).
+type ftWorldOpts struct {
+	client orb.Options
+	srvA   orb.Options
+	wrapA  func(*counterServant) orb.Servant
+}
+
 func newFTWorld(t *testing.T) *ftWorld {
 	t.Helper()
+	return newFTWorldWith(t, ftWorldOpts{})
+}
+
+func newFTWorldWith(t *testing.T, opts ftWorldOpts) *ftWorld {
+	t.Helper()
 	w := &ftWorld{t: t, name: naming.NewName("counter")}
+	opts.client.Name, opts.srvA.Name = "client", "srvA"
+	if opts.wrapA == nil {
+		opts.wrapA = func(c *counterServant) orb.Servant { return Wrap(c) }
+	}
 
 	w.services = orb.New(orb.Options{Name: "services"})
 	t.Cleanup(w.services.Shutdown)
@@ -102,19 +122,19 @@ func newFTWorld(t *testing.T) *ftWorld {
 	nsRef := svcAd.Activate(naming.DefaultKey, w.nsSrv)
 	storeRef := svcAd.Activate(StoreDefaultKey, NewStoreServant(NewMemStore()))
 
-	w.client = orb.New(orb.Options{Name: "client"})
+	w.client = orb.New(opts.client)
 	t.Cleanup(w.client.Shutdown)
 	w.naming = naming.NewClient(w.client, nsRef)
 	w.store = NewStoreClient(w.client, storeRef)
 
-	w.srvA = orb.New(orb.Options{Name: "srvA"})
+	w.srvA = orb.New(opts.srvA)
 	t.Cleanup(w.srvA.Shutdown)
 	w.adA, err = w.srvA.NewAdapter("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.ctrA = &counterServant{}
-	refA := w.adA.Activate("ctr", Wrap(w.ctrA))
+	w.refA = w.adA.Activate("ctr", opts.wrapA(w.ctrA))
 
 	w.srvB = orb.New(orb.Options{Name: "srvB"})
 	t.Cleanup(w.srvB.Shutdown)
@@ -123,12 +143,12 @@ func newFTWorld(t *testing.T) *ftWorld {
 		t.Fatal(err)
 	}
 	w.ctrB = &counterServant{}
-	refB := w.adB.Activate("ctr", Wrap(w.ctrB))
+	w.refB = w.adB.Activate("ctr", Wrap(w.ctrB))
 
-	if err := w.naming.BindOffer(context.Background(), w.name, refA, "hostA"); err != nil {
+	if err := w.naming.BindOffer(context.Background(), w.name, w.refA, "hostA"); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.naming.BindOffer(context.Background(), w.name, refB, "hostB"); err != nil {
+	if err := w.naming.BindOffer(context.Background(), w.name, w.refB, "hostB"); err != nil {
 		t.Fatal(err)
 	}
 	return w

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/obs"
 	"repro/internal/orb"
 )
@@ -18,7 +19,11 @@ type RequestProxy struct {
 	op    string
 	args  *cdr.Encoder
 	req   *orb.Request
-	span  *obs.Span // "ft.invoke", opened at NewRequest, closed at GetResponse
+	// marked is decided at Send: this is the call after which a checkpoint
+	// is due, so every underlying request — replays too — asks for the
+	// state.
+	marked bool
+	span   *obs.Span // "ft.invoke", opened at NewRequest, closed at GetResponse
 }
 
 // NewRequest creates a deferred request for op through the proxy. ctx
@@ -32,7 +37,7 @@ func (p *Proxy) NewRequest(ctx context.Context, op string) *RequestProxy {
 	// The deferred call's whole lifetime — send, wait, recovery replays —
 	// runs under one ft.invoke span, mirroring the synchronous path.
 	sctx, span := obs.StartSpan(ctx, "ft.invoke",
-		obs.String("op", op), obs.String("name", p.name.String()))
+		obs.String("op", op), obs.String("name", p.key))
 	return &RequestProxy{proxy: p, ctx: sctx, op: op, args: cdr.NewEncoder(128), span: span}
 }
 
@@ -46,6 +51,9 @@ func (r *RequestProxy) Args() *cdr.Encoder { return r.args }
 func (r *RequestProxy) send(ref orb.ObjectRef) {
 	req := r.proxy.orb.CreateRequest(r.ctx, ref, r.op)
 	req.Args().PutRaw(r.args.Bytes())
+	if r.marked {
+		req.SetRequestContext(giop.SCCheckpoint, nil)
+	}
 	req.Send()
 	r.req = req
 }
@@ -56,6 +64,7 @@ func (r *RequestProxy) Send() {
 	if r.req != nil {
 		return
 	}
+	r.marked = r.proxy.checkpointDue()
 	r.send(r.proxy.Ref())
 }
 
@@ -65,7 +74,7 @@ func (r *RequestProxy) PollResponse() bool {
 }
 
 // GetResponse waits for the response, driving checkpoint-on-success and
-// recover-and-replay-on-failure exactly like Proxy.Invoke — both run the
+// recover-and-replay-on-failure exactly like Proxy.Call — both run the
 // same call engine; here each replay re-sends the retained argument
 // stream asynchronously against the recovered server.
 func (r *RequestProxy) GetResponse(readReply func(*cdr.Decoder) error) error {
@@ -84,7 +93,7 @@ func (r *RequestProxy) GetResponse(readReply func(*cdr.Decoder) error) error {
 		return r.req.GetResponse(readReply)
 	})
 	if err == nil {
-		err = p.afterSuccess(r.ctx, c.Ref(), r.op)
+		err = p.afterSuccess(r.ctx, c.Ref(), r.op, r.marked, r.req.ReplyContext(giop.SCCheckpoint))
 	}
 	r.span.EndErr(err)
 	return err

@@ -7,6 +7,7 @@
 package giop
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -155,6 +156,13 @@ const (
 	// backoff schedule, so shed traffic spreads out instead of hammering
 	// an overloaded adapter.
 	SCRetryAfter uint32 = 0x52545259 // "RTRY"
+	// SCCheckpoint makes the servant's state ride the business reply. On
+	// a request it is a bare mark (no data): "send your state back with
+	// the answer". On the reply it carries {seq, state} — the state
+	// captured after the operation ran and a per-servant capture sequence
+	// number, so the receiver can tell an older snapshot from a newer one
+	// when replies overtake each other (EncodeCheckpoint/DecodeCheckpoint).
+	SCCheckpoint uint32 = 0x434b5054 // "CKPT"
 )
 
 // EncodeDeadline renders a remaining-duration deadline for SCDeadline.
@@ -228,6 +236,31 @@ func DecodeRetryAfter(data []byte) (d time.Duration, ok bool) {
 	return time.Duration(ns), true
 }
 
+// checkpointSeqLen is the fixed prefix of an SCCheckpoint reply payload.
+const checkpointSeqLen = 8
+
+// EncodeCheckpoint renders an SCCheckpoint reply payload: the capture
+// sequence number as 8 big-endian bytes, then the state verbatim. Like
+// SCQoS it skips CDR framing — the state is already an opaque blob and is
+// copied exactly once here.
+func EncodeCheckpoint(seq uint64, state []byte) []byte {
+	data := make([]byte, checkpointSeqLen+len(state))
+	binary.BigEndian.PutUint64(data, seq)
+	copy(data[checkpointSeqLen:], state)
+	return data
+}
+
+// DecodeCheckpoint parses an SCCheckpoint reply payload. ok is false when
+// the context is absent or shorter than its sequence prefix. state aliases
+// data: a context decoded off the wire is already the receiver's own copy,
+// so a 64 KiB state is not copied a second time.
+func DecodeCheckpoint(data []byte) (seq uint64, state []byte, ok bool) {
+	if len(data) < checkpointSeqLen {
+		return 0, nil, false
+	}
+	return binary.BigEndian.Uint64(data), data[checkpointSeqLen:], true
+}
+
 // Message is a fully parsed protocol message. Exactly the fields relevant
 // to its Type are populated.
 type Message struct {
@@ -273,6 +306,18 @@ func (m *Message) Context(id uint32) []byte {
 		}
 	}
 	return nil
+}
+
+// HasContext reports whether a service context with the given id is
+// present, whatever its data — how a bare mark such as a request's
+// SCCheckpoint is read.
+func (m *Message) HasContext(id uint32) bool {
+	for _, c := range m.Contexts {
+		if c.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // SetContext replaces or appends the service context with the given id.

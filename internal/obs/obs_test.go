@@ -250,6 +250,42 @@ func TestStartSpanUsesParentTracer(t *testing.T) {
 	}
 }
 
+// TestStartSpanIsFreeWhenNobodyRecords: with no parent span in ctx and no
+// default tracer installed, StartSpan hands back its ctx and a nil span
+// without allocating; an installed default tracer gets the root, and
+// SetDefault(nil) takes it away again.
+func TestStartSpanIsFreeWhenNobodyRecords(t *testing.T) {
+	if Default() != nil {
+		t.Fatal("a default tracer is installed at start-up")
+	}
+	ctx := context.Background()
+	got, span := StartSpan(ctx, "lib-span", String("k", "v"))
+	if span != nil || got != ctx {
+		t.Fatalf("StartSpan with nobody recording = (%v, %v), want its ctx and nil", got, span)
+	}
+	span.SetAttr("k", "v") // nil-safe like every other method
+	span.EndErr(errors.New("x"))
+	if n := testing.AllocsPerRun(100, func() {
+		_, s := StartSpan(ctx, "lib-span", String("op", "bump"), String("name", "svc"))
+		s.End()
+	}); n != 0 {
+		t.Fatalf("unobserved StartSpan allocates %v times", n)
+	}
+
+	tr := NewTracer("fallback", WithRing(NewRing(8)))
+	SetDefault(tr)
+	defer SetDefault(nil)
+	_, root := StartSpan(ctx, "root")
+	root.End()
+	if root == nil || tr.Ring().Len() != 1 {
+		t.Fatalf("default tracer did not record the root (span %v, ring %d)", root, tr.Ring().Len())
+	}
+	SetDefault(nil)
+	if _, s := StartSpan(ctx, "after"); s != nil || Default() != nil {
+		t.Fatal("SetDefault(nil) did not remove the default tracer")
+	}
+}
+
 func TestSpanDuration(t *testing.T) {
 	tr := NewTracer("t")
 	_, s := tr.Start(context.Background(), "x")

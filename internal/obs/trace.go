@@ -382,30 +382,33 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// defaultTracer records spans started by library layers (ft, orb) when no
-// parent span designates a tracer and no explicit tracer is used.
+// defaultTracer, when installed, records the root spans library layers
+// (ft, orb, rosen) start outside any trace. None is installed at start-up.
 var defaultTracer atomic.Pointer[Tracer]
 
-func init() { defaultTracer.Store(NewTracer("process")) }
-
-// Default returns the process-wide fallback tracer.
+// Default returns the process-wide fallback tracer, nil when there is
+// none.
 func Default() *Tracer { return defaultTracer.Load() }
 
-// SetDefault replaces the process-wide fallback tracer.
-func SetDefault(t *Tracer) {
-	if t != nil {
-		defaultTracer.Store(t)
-	}
-}
+// SetDefault installs the process-wide fallback tracer; nil removes it.
+func SetDefault(t *Tracer) { defaultTracer.Store(t) }
 
 // StartSpan begins a span under the span in ctx, using that span's tracer
 // so whole traces land in one ring; without a parent it starts a new root
-// on the Default tracer. This is the entry point library layers use.
+// on the Default tracer. With neither — nobody is recording — it returns
+// ctx and a nil span, whose methods all no-op: an unobserved call draws no
+// ids and allocates nothing. Callers that compute an attribute at some
+// cost can test the returned span for nil first. This is the entry point
+// library layers use.
 func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
+	tracer := Default()
 	if parent := SpanFromContext(ctx); parent != nil && parent.tracer != nil {
-		return parent.tracer.Start(ctx, name, WithAttrs(attrs...))
+		tracer = parent.tracer
 	}
-	return Default().Start(ctx, name, WithAttrs(attrs...))
+	if tracer == nil {
+		return ctx, nil
+	}
+	return tracer.Start(ctx, name, WithAttrs(attrs...))
 }
 
 // newTraceID draws a random non-zero 128-bit trace id.

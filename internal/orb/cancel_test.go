@@ -159,6 +159,12 @@ func TestDeadlineExpiresWhileQueuedOnBusyServer(t *testing.T) {
 	if !IsSystemException(err, ExTimeout) {
 		t.Fatalf("err = %v, want TIMEOUT", err)
 	}
+	// The client gave up at its own clock's 50 ms and said so on the wire.
+	// Free the worker only once the server knows: its rebased deadline
+	// timer may be a scheduling quantum behind on a busy host, and a
+	// request dequeued in that gap is, as far as the server can tell,
+	// still wanted.
+	waitStats(t, o, func(st Stats) bool { return st.CancelsReceived >= 1 })
 
 	close(sv.release)
 	if err := <-blockErr; err != nil {

@@ -366,6 +366,11 @@ func (o *ORB) invokeOnce(ctx context.Context, ref ObjectRef, op string, writeArg
 	if err != nil {
 		return err
 	}
+	if rc := opts.ReplyContext; rc != nil {
+		// Context data is a copy made at decode time, so it outlives the
+		// pooled reply released below.
+		rc.Data = reply.Context(rc.ID)
+	}
 	err = decodeReply(reply, readReply)
 	reply.Release()
 	return err
@@ -388,6 +393,9 @@ func (o *ORB) invokeRaw(ctx context.Context, ref ObjectRef, op string, writeArgs
 	// client, and the attach cost is only paid by calls that opted in.
 	if opts.Priority != ClassNormal || opts.Tenant != "" {
 		m.SetContext(giop.SCQoS, giop.EncodeQoS(uint8(opts.Priority), opts.Tenant))
+	}
+	if rc := opts.RequestContext; rc.ID != 0 {
+		m.SetContext(rc.ID, rc.Data)
 	}
 	ctx = o.callRequestSent(ctx, m)
 	reply, err := o.transferRequest(ctx, ref, m, opts)

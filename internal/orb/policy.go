@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/obs"
 )
 
@@ -52,6 +53,17 @@ type CallOptions struct {
 	// (token buckets at the server adapter). Empty means the anonymous
 	// tenant.
 	Tenant string
+	// RequestContext, when its ID is non-zero, is attached to the request
+	// of every attempt — the resilient-call engine re-applies it on each
+	// replay, so a recovered call asks the replacement server for the same
+	// thing. ReplyContext, when non-nil, names by its ID a reply service
+	// context the caller wants back: every attempt that gets a reply sets
+	// ReplyContext.Data to that context's data (nil when the reply has
+	// none). The data is the caller's to keep. Together they are the seam
+	// by which a layer above piggybacks on a call's own frames instead of
+	// paying a round trip of its own; the ORB gives the ids no meaning.
+	RequestContext giop.ServiceContext
+	ReplyContext   *giop.ServiceContext
 }
 
 // Backoff is a bounded exponential backoff schedule with optional jitter.

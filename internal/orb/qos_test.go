@@ -284,14 +284,21 @@ func TestBatchShedEndToEnd(t *testing.T) {
 	if n := srv.AdmissionShed(ClassBatch, ShedQueueFull); n != uint64(shed) {
 		t.Fatalf("AdmissionShed(batch, queue_full) = %d, want %d", n, shed)
 	}
-	classed := 0
-	for _, r := range fr.Snapshot() {
-		if r.Class == "batch" {
-			classed++
+	// A request is recorded after its reply is written, so the last
+	// caller can be back here before its record is in.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		classed := 0
+		for _, r := range fr.Snapshot() {
+			if r.Class == "batch" {
+				classed++
+			}
 		}
-	}
-	if classed < flood {
-		t.Fatalf("flight recorder has %d batch-classed records, want >= %d", classed, flood)
+		if classed >= flood {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flight recorder has %d batch-classed records, want >= %d", classed, flood)
+		}
 	}
 }
 

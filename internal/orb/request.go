@@ -21,7 +21,8 @@ type Request struct {
 	ref ObjectRef
 	op  string
 
-	args *cdr.Encoder
+	args   *cdr.Encoder
+	reqCtx giop.ServiceContext // set with SetRequestContext, sent when its ID is non-zero
 
 	mu          sync.Mutex
 	sent        bool
@@ -63,6 +64,22 @@ func (r *Request) Operation() string { return r.op }
 // Args exposes the argument encoder. Write all arguments before Send.
 func (r *Request) Args() *cdr.Encoder { return r.args }
 
+// SetRequestContext attaches a service context to the request — the DII
+// form of CallOptions.RequestContext. Call it before Send.
+func (r *Request) SetRequestContext(id uint32, data []byte) {
+	r.reqCtx = giop.ServiceContext{ID: id, Data: data}
+}
+
+// ReplyContext returns the data of the reply's service context with the
+// given id — the DII form of CallOptions.ReplyContext. It is nil until
+// the response has arrived, and when the reply carries no such context.
+func (r *Request) ReplyContext(id uint32) []byte {
+	if !r.PollResponse() || r.reply == nil {
+		return nil
+	}
+	return r.reply.Context(id)
+}
+
 // Send initiates the invocation without waiting for the reply (the DII
 // send_deferred analogue). Calling Send twice is a no-op.
 //
@@ -81,6 +98,9 @@ func (r *Request) Send() {
 	m, enc := r.orb.buildRequest(r.ref, r.op, func(e *cdr.Encoder) {
 		e.PutRaw(r.args.Bytes())
 	})
+	if r.reqCtx.ID != 0 {
+		m.SetContext(r.reqCtx.ID, r.reqCtx.Data)
+	}
 	sctx := r.orb.callRequestSent(r.ctx, m)
 	r.mu.Lock()
 	r.msg, r.benc, r.sentCtx = m, enc, sctx
