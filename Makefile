@@ -37,6 +37,8 @@ bench-check:
 ## (go test -fuzz takes one package and one target per run). A finding is
 ## written under the package's testdata/fuzz/ and fails the target.
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSequences$$' -fuzztime $(FUZZTIME) ./internal/cdr
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME) ./internal/giop
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceContexts$$' -fuzztime $(FUZZTIME) ./internal/giop
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME) ./internal/giop
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime $(FUZZTIME) ./internal/obs

@@ -11,12 +11,21 @@
 // The package provides a stateful Encoder/Decoder pair plus an
 // encapsulation helper mirroring CDR encapsulations (self-contained octet
 // sequences used for service contexts and object references).
+//
+// Sequences of fixed-size primitives (PutFloat64Seq/GetFloat64Seq and the
+// Int32 pair) are block-coded: the count is validated, the stream aligned
+// and the bytes reserved or taken once, and the elements converted in one
+// loop — the wire form is that of the element-by-element coding, byte for
+// byte. Encoders and Decoders are pooled (AcquireEncoder/AcquireDecoder);
+// RetainLimit is the one rule for which buffers the data path keeps.
 package cdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Marshaler is implemented by types that can append themselves to an
@@ -64,11 +73,26 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// align pads the stream with zero bytes to an n-byte boundary.
-func (e *Encoder) align(n int) {
-	for len(e.buf)%n != 0 {
-		e.buf = append(e.buf, 0)
+// zeroPad is the source of alignment padding: no primitive is wider than
+// eight bytes, so no gap is longer than seven.
+var zeroPad [8]byte
+
+// Align pads the stream with zero bytes to an n-byte boundary, n being the
+// size of a primitive (1, 2, 4 or 8). Every aligned Put calls it; callers
+// that lay out a stream by hand — the message layer, which starts every
+// body on an 8-byte boundary — use it too.
+func (e *Encoder) Align(n int) {
+	if pad := -len(e.buf) & (n - 1); pad > 0 {
+		e.buf = append(e.buf, zeroPad[:pad]...)
 	}
+}
+
+// grow extends the stream by n bytes in one step and returns them for the
+// caller to fill; they hold stale data until it does.
+func (e *Encoder) grow(n int) []byte {
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:off+n]
+	return e.buf[off:]
 }
 
 // PutOctet appends a single byte.
@@ -85,19 +109,19 @@ func (e *Encoder) PutBool(v bool) {
 
 // PutUint16 appends a 2-byte-aligned big-endian uint16.
 func (e *Encoder) PutUint16(v uint16) {
-	e.align(2)
+	e.Align(2)
 	e.buf = append(e.buf, byte(v>>8), byte(v))
 }
 
 // PutUint32 appends a 4-byte-aligned big-endian uint32.
 func (e *Encoder) PutUint32(v uint32) {
-	e.align(4)
+	e.Align(4)
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // PutUint64 appends an 8-byte-aligned big-endian uint64.
 func (e *Encoder) PutUint64(v uint64) {
-	e.align(8)
+	e.Align(8)
 	e.buf = append(e.buf,
 		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -133,19 +157,27 @@ func (e *Encoder) PutBytes(b []byte) {
 // PutRaw appends bytes with no length prefix and no alignment.
 func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
 
-// PutFloat64Seq appends a sequence<double>.
+// PutFloat64Seq appends a sequence<double>. The elements are one block:
+// aligned and reserved once, then converted in place.
 func (e *Encoder) PutFloat64Seq(v []float64) {
 	e.PutUint32(uint32(len(v)))
-	for _, x := range v {
-		e.PutFloat64(x)
+	if len(v) == 0 {
+		return // no element, so no padding to the element boundary either
+	}
+	e.Align(8)
+	b := e.grow(8 * len(v))
+	for i, x := range v {
+		binary.BigEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
-// PutInt32Seq appends a sequence<long>.
+// PutInt32Seq appends a sequence<long>, as one block like PutFloat64Seq
+// (the count has already left the stream 4-aligned).
 func (e *Encoder) PutInt32Seq(v []int32) {
 	e.PutUint32(uint32(len(v)))
-	for _, x := range v {
-		e.PutInt32(x)
+	b := e.grow(4 * len(v))
+	for i, x := range v {
+		binary.BigEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
 
@@ -319,34 +351,39 @@ func (d *Decoder) GetBytes() []byte {
 	return out
 }
 
-// GetFloat64Seq reads a sequence<double>.
+// GetFloat64Seq reads a sequence<double>. The elements are taken as one
+// block, and the result is allocated only once they are known to be there:
+// a prefix that promises more than the stream holds costs nothing.
 func (d *Decoder) GetFloat64Seq() []float64 {
 	n := d.seqLen(8)
 	if n == 0 {
 		return nil
 	}
+	d.align(8)
+	b := d.take(8 * n)
+	if b == nil {
+		return nil
+	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.GetFloat64()
-	}
-	if d.err != nil {
-		return nil
+		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
-// GetInt32Seq reads a sequence<long>.
+// GetInt32Seq reads a sequence<long>, as one block like GetFloat64Seq.
 func (d *Decoder) GetInt32Seq() []int32 {
 	n := d.seqLen(4)
 	if n == 0 {
 		return nil
 	}
+	b := d.take(4 * n)
+	if b == nil {
+		return nil
+	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = d.GetInt32()
-	}
-	if d.err != nil {
-		return nil
+		out[i] = int32(binary.BigEndian.Uint32(b[4*i:]))
 	}
 	return out
 }

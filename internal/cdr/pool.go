@@ -2,10 +2,15 @@ package cdr
 
 import "sync"
 
-// maxPooledCapacity caps the buffer capacity an Encoder may carry back
-// into the pool. Occasional giant messages (large checkpoints, bulk
-// sequences) would otherwise pin their buffers forever.
-const maxPooledCapacity = 1 << 16 // 64 KiB
+// RetainLimit is the one retention rule of the data path: a buffer that
+// served a message is kept for the next one — by the encoder pool here,
+// by the message layer's write scratch and by its read windows — unless
+// its capacity exceeds this. 1 MiB holds the bulk traffic this runtime
+// exists for (solver state and checkpoint blobs of tens to hundreds of
+// KiB) with room to spare, so a connection that moves such messages
+// allocates nothing per message; an occasional giant one is dropped after
+// use instead of pinning its buffer in every pool it passed through.
+const RetainLimit = 1 << 20
 
 // encoderPool recycles Encoders across requests: the invocation hot path
 // acquires one per request body (client and server side), so without a
@@ -33,13 +38,13 @@ func AcquireEncoder() *Encoder {
 
 // Release returns the Encoder to the pool. The Encoder must not be used
 // afterwards, and no slice previously returned by Bytes may be read —
-// the next AcquireEncoder will overwrite it. Oversized buffers are
+// the next AcquireEncoder will overwrite it. Buffers above RetainLimit are
 // dropped rather than pooled.
 func (e *Encoder) Release() {
 	if e == nil {
 		return
 	}
-	if cap(e.buf) > maxPooledCapacity {
+	if cap(e.buf) > RetainLimit {
 		e.buf = nil
 	}
 	e.Reset()

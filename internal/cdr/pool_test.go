@@ -75,7 +75,7 @@ func TestDecoderReset(t *testing.T) {
 // the pool.
 func TestEncoderPoolDropsOversized(t *testing.T) {
 	e := AcquireEncoder()
-	e.PutRaw(make([]byte, maxPooledCapacity+1))
+	e.PutRaw(make([]byte, RetainLimit+1))
 	e.Release()
 	if e.buf != nil {
 		t.Fatalf("oversized buffer retained (cap %d)", cap(e.buf))

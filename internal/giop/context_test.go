@@ -66,7 +66,7 @@ func TestOversizedContextCountIsError(t *testing.T) {
 	body := e.Bytes()
 
 	var buf bytes.Buffer
-	if err := writeOne(&buf, MsgReply, 0, body); err != nil {
+	if err := writeOne(&buf, MsgReply, 0, nil, body); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(&buf); err == nil {

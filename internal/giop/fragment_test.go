@@ -76,7 +76,7 @@ func TestSmallMessagesNotFragmented(t *testing.T) {
 
 func TestOrphanFragmentRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeOne(&buf, MsgFragment, 0, []byte{1, 2}); err != nil {
+	if err := writeOne(&buf, MsgFragment, 0, nil, []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(&buf); err != ErrOrphanFragment {

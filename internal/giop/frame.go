@@ -4,13 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cdr"
 )
 
-// This file implements the server-side reactor's ingest path: a FrameReader
-// that drains as many protocol frames as one read syscall delivers into a
+// This file implements the ingest path of both ends of a connection — the
+// server's reactor and the client's reply reader: a FrameReader that
+// drains as many protocol frames as one read syscall delivers into a
 // pooled, refcounted buffer, and hands out pooled Messages whose bodies
 // alias that buffer instead of copying it. Together with the Message pool
 // (AcquireMessage/Release) and the string Interner this takes the steady
@@ -26,28 +30,51 @@ const defaultFrameBufSize = 64 << 10
 // the last reference is released, which is what makes body aliasing safe
 // even though dispatches complete out of order.
 type frameBuf struct {
-	data []byte
+	data []byte // the window: its length is what the reader asked for, its capacity what the pool keeps
 	refs atomic.Int32
 }
 
-var frameBufPool = sync.Pool{
-	New: func() any { return &frameBuf{data: make([]byte, defaultFrameBufSize)} },
-}
+// windowPools recycles read windows by capacity: windowPools[k] holds
+// windows of exactly 1<<k bytes, up to cdr.RetainLimit (1<<20). A reader
+// therefore always draws a window that fits, readers of small frames never
+// pin large windows, and frames of slightly different sizes share a class.
+var windowPools [21]sync.Pool
 
+// windowAllocs counts the windows allocated rather than recycled.
+var windowAllocs atomic.Uint64
+
+// WindowAllocs reports how many read windows this process has allocated
+// rather than drawn from a pool. At steady state it all but stands still:
+// a connection goes round the same few windows whatever its frame size,
+// which is what the allocation tests of this layer and of the ORB assert.
+func WindowAllocs() uint64 { return windowAllocs.Load() }
+
+// windowClass is the pool index of the smallest window holding size bytes.
+func windowClass(size int) int { return bits.Len(uint(size - 1)) }
+
+// newFrameBuf returns a window of size bytes holding one reference.
 func newFrameBuf(size int) *frameBuf {
-	b := frameBufPool.Get().(*frameBuf)
-	if len(b.data) < size {
-		b.data = make([]byte, size)
+	k := windowClass(size)
+	var b *frameBuf
+	if size <= cdr.RetainLimit {
+		b, _ = windowPools[k].Get().(*frameBuf)
 	}
+	if b == nil {
+		b = &frameBuf{data: make([]byte, 1<<k)}
+		windowAllocs.Add(1)
+	}
+	b.data = b.data[:size]
 	b.refs.Store(1)
 	return b
 }
 
 func (b *frameBuf) ref() { b.refs.Add(1) }
 
+// unref drops one reference; the last one returns the window to its pool,
+// unless it is larger than anything the data path retains.
 func (b *frameBuf) unref() {
-	if b.refs.Add(-1) == 0 {
-		frameBufPool.Put(b)
+	if b.refs.Add(-1) == 0 && cap(b.data) <= cdr.RetainLimit {
+		windowPools[windowClass(cap(b.data))].Put(b)
 	}
 }
 
@@ -98,10 +125,9 @@ const (
 	maxInternLen     = 256
 )
 
-// NewInterner returns an empty Interner.
-func NewInterner() *Interner {
-	return &Interner{m: make(map[string]string, 16)}
-}
+// NewInterner returns an empty Interner. Its table comes into being with
+// the first string: a reader of replies, which carry none, never has one.
+func NewInterner() *Interner { return new(Interner) }
 
 // Intern returns the canonical string for b, remembering it if new.
 func (it *Interner) Intern(b []byte) string {
@@ -113,6 +139,9 @@ func (it *Interner) Intern(b []byte) string {
 	}
 	s := string(b)
 	if len(s) <= maxInternLen && len(it.m) < maxInternEntries {
+		if it.m == nil {
+			it.m = make(map[string]string, 16)
+		}
 		it.m[s] = s
 	}
 	return s
@@ -163,14 +192,26 @@ type FrameReaderConfig struct {
 // FrameReader scans a buffered read window and parses every complete
 // frame it holds, so one syscall can yield a whole batch of messages.
 // Bodies alias the refcounted window buffer; callers release each message
-// (Message.Release) when its dispatch completes. A FrameReader is not
-// safe for concurrent use.
+// (Message.Release) when they are done with it — a server when the
+// dispatch completes, a client when the reply is decoded. A message that
+// is never released is not a leak: its window is collected with it instead
+// of being recycled. A frame larger than the window is read into a pooled
+// window grown to fit it, up to cdr.RetainLimit; only beyond that does a
+// body get a buffer of its own. A FrameReader is not safe for concurrent
+// use.
 type FrameReader struct {
 	r   io.Reader
 	cfg FrameReaderConfig
 
 	buf        *frameBuf
 	start, end int
+	// size is the window the reader asks for when nothing calls for more.
+	size int
+	// last is the wire size of the previous frame if it outgrew size, else
+	// zero. The read that waits for the next frame makes that much room
+	// first, so a stream of equally large frames lands each one whole in a
+	// window of its own and no byte moves again.
+	last int
 
 	it         *Interner
 	guardArmed bool
@@ -191,10 +232,11 @@ func NewFrameReader(r io.Reader, cfg FrameReaderConfig) *FrameReader {
 		size = defaultFrameBufSize
 	}
 	return &FrameReader{
-		r:   r,
-		cfg: cfg,
-		buf: newFrameBuf(size),
-		it:  NewInterner(),
+		r:    r,
+		cfg:  cfg,
+		buf:  newFrameBuf(size),
+		size: size,
+		it:   NewInterner(),
 	}
 }
 
@@ -232,17 +274,15 @@ func (fr *FrameReader) ensureSpace(need int) {
 		return
 	}
 	if fr.start == fr.end && fr.buf.refs.Load() == 1 {
-		// Nothing buffered and nobody aliases the buffer: rewind in place.
+		// Nothing buffered and nobody aliases the buffer: rewind in place,
+		// into as much of its capacity as it takes.
 		fr.start, fr.end = 0, 0
-		if len(fr.buf.data) >= need {
+		if cap(fr.buf.data) >= need {
+			fr.buf.data = fr.buf.data[:max(len(fr.buf.data), need)]
 			return
 		}
 	}
-	size := len(fr.buf.data)
-	if fr.avail()+need > size {
-		size = fr.avail() + need
-	}
-	nb := newFrameBuf(size)
+	nb := newFrameBuf(max(fr.size, fr.avail()+need))
 	copy(nb.data, fr.buf.data[fr.start:fr.end])
 	fr.end -= fr.start
 	fr.start = 0
@@ -352,6 +392,9 @@ func (fr *FrameReader) next(block bool) (*Message, error) {
 		if !block {
 			return nil, errWouldBlock
 		}
+		if fr.avail() == 0 {
+			fr.ensureSpace(fr.last)
+		}
 		if err := fr.fill(HeaderSize); err != nil {
 			if fr.avail() > 0 && (err == io.EOF) {
 				return nil, ErrShortHeader
@@ -373,10 +416,10 @@ func (fr *FrameReader) next(block bool) (*Message, error) {
 		return nil, fr.drainOversize(typ, flags, n)
 	}
 	total := HeaderSize + n
-	if total > len(fr.buf.data) {
-		// Too big for the window: read the body into its own buffer,
-		// grown incrementally so a lying header cannot force a giant
-		// allocation up front.
+	if total > len(fr.buf.data) && total > cdr.RetainLimit {
+		// Too big for any window the pools retain: read the body into its
+		// own buffer, grown incrementally so a lying header cannot force a
+		// giant allocation up front.
 		if !block {
 			return nil, errWouldBlock
 		}
@@ -386,12 +429,17 @@ func (fr *FrameReader) next(block bool) (*Message, error) {
 		if !block {
 			return nil, errWouldBlock
 		}
+		// fill swaps to a window grown to fit when this one is too small.
 		if err := fr.fill(total); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
+	}
+	fr.last = 0
+	if total > fr.size {
+		fr.last = total
 	}
 	if flags&flagMoreFragments != 0 {
 		if !block {
@@ -424,8 +472,8 @@ func (fr *FrameReader) deliver(typ MsgType, body []byte, buf *frameBuf) (*Messag
 	return m, nil
 }
 
-// readLarge reads an n-byte body that exceeds the window, growing the
-// destination geometrically as bytes actually arrive.
+// readLarge reads an n-byte body that exceeds every pooled window, growing
+// the destination geometrically as bytes actually arrive.
 func (fr *FrameReader) readLarge(typ MsgType, flags byte, n int) (*Message, error) {
 	body, err := fr.consumeBody(nil, n)
 	if err != nil {

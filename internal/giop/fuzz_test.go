@@ -98,9 +98,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		Contexts: []ServiceContext{{ID: SCCheckpoint, Data: EncodeCheckpoint(3, []byte("state"))}},
 		Body:     []byte("result"),
 	}
-	f.Add(false, request.encodeBody())
-	f.Add(true, reply.encodeBody())
-	f.Add(true, (&Message{Type: MsgReply}).encodeBody())
+	f.Add(false, wireBody(request))
+	f.Add(true, wireBody(reply))
+	f.Add(true, wireBody(&Message{Type: MsgReply}))
 	// A context count past the sanity bound, then a would-be request id.
 	oversized := cdr.NewEncoder(16)
 	oversized.PutUint32(5000)
@@ -117,7 +117,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	truncated.PutRaw([]byte("short"))
 	f.Add(false, truncated.Bytes())
 	f.Add(false, []byte{0, 0, 0, 3})
-	whole := request.encodeBody()
+	whole := wireBody(request)
 	f.Add(false, whole[:len(whole)/2])
 
 	f.Fuzz(func(t *testing.T, isReply bool, data []byte) {
@@ -139,7 +139,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("interning decode differs:\n%+v\n%+v", m, interned)
 		}
 		again := &Message{Type: typ}
-		if err := again.decodeBody(m.encodeBody()); err != nil {
+		if err := again.decodeBody(wireBody(m)); err != nil {
 			t.Fatalf("re-encoded message does not decode: %v", err)
 		}
 		if !sameMessage(m, again) {

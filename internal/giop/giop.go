@@ -4,6 +4,19 @@
 // contexts follow the GIOP structure closely enough that the runtime layers
 // above (ORB, naming, fault tolerance) can be written exactly as the paper
 // describes them for omniORB.
+//
+// Write frames a message with one copy of its Body, into a pooled scratch
+// buffer. FrameReader is the reader of both ends of a connection — the
+// server's reactor and the client's reply loop: it parses every frame a
+// read delivered into pooled Messages whose bodies alias a refcounted,
+// pooled read window. Message lifetime is therefore explicit: whoever is
+// handed a message calls Release when done with it and with everything
+// decoded by aliasing — a server when the dispatch completes, a client
+// once the reply is decoded (values decoded with cdr's Get* are copies and
+// outlive it). Release is an optimisation, not an obligation: a message
+// that is never released, as the ORB's DII requests do with replies they
+// may decode again, keeps its window until both are collected. Read is the
+// plain one-message reader; tools and tests use it, the runtime does not.
 package giop
 
 import (
@@ -11,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -373,17 +387,13 @@ func getContextsIn(d *cdr.Decoder, dst []ServiceContext) ([]ServiceContext, erro
 	return dst, nil
 }
 
-// encodeBody renders the type-specific portion of m (everything after the
-// fixed header).
-func (m *Message) encodeBody() []byte {
-	e := cdr.NewEncoder(64 + len(m.Body))
-	m.encodeBodyInto(e)
-	return e.Bytes()
-}
-
-// encodeBodyInto renders the type-specific portion of m into e, so Write
-// can ride a pooled encoder instead of allocating per message.
-func (m *Message) encodeBodyInto(e *cdr.Encoder) {
+// encodePrefix renders into e everything of m's wire body that precedes
+// m.Body: service contexts, ids and names and, for the kinds that carry a
+// Body, the padding that starts it on an 8-byte boundary, so that it can
+// be decoded as an independent CDR stream. It reports whether the kind
+// carries a Body at all. The Body itself never passes through e: Write
+// copies it straight from the caller's bytes into the frame.
+func (m *Message) encodePrefix(e *cdr.Encoder) (hasBody bool) {
 	switch m.Type {
 	case MsgRequest:
 		putContexts(e, m.Contexts)
@@ -391,35 +401,25 @@ func (m *Message) encodeBodyInto(e *cdr.Encoder) {
 		e.PutBool(m.ResponseExpected)
 		e.PutString(m.ObjectKey)
 		e.PutString(m.Operation)
-		e.PutRaw(alignPad(e.Len()))
-		e.PutRaw(m.Body)
 	case MsgReply:
 		putContexts(e, m.Contexts)
 		e.PutUint32(m.RequestID)
 		e.PutUint32(uint32(m.ReplyStatus))
-		e.PutRaw(alignPad(e.Len()))
-		e.PutRaw(m.Body)
 	case MsgCancelRequest:
 		e.PutUint32(m.RequestID)
+		return false
 	case MsgLocateRequest:
 		e.PutUint32(m.RequestID)
 		e.PutString(m.ObjectKey)
+		return false
 	case MsgLocateReply:
 		e.PutUint32(m.RequestID)
 		e.PutUint32(uint32(m.LocateStatus))
-		e.PutRaw(alignPad(e.Len()))
-		e.PutRaw(m.Body)
-	case MsgCloseConnection, MsgError:
-		// no body
+	default: // MsgCloseConnection, MsgError: no body
+		return false
 	}
-}
-
-// alignPad returns the zero padding needed to bring off to an 8-byte
-// boundary, so that a message Body always starts 8-aligned and can be
-// decoded as an independent CDR stream.
-func alignPad(off int) []byte {
-	pad := (8 - off%8) % 8
-	return make([]byte, pad)
+	e.Align(8)
+	return true
 }
 
 // decodeBody parses the type-specific portion into m.
@@ -506,70 +506,64 @@ const flagMoreFragments = 0x01
 // It is a variable so tests can exercise fragmentation with small bodies.
 var FragmentSize = 4 << 20
 
-// writeBufPool recycles header+body scratch buffers across writeOne
-// calls. Oversized buffers (large checkpoint fragments) are dropped on
-// release so the pool retains only call-sized scratch.
+// writeBufPool recycles the scratch in which writeOne assembles a frame.
+// Scratch above cdr.RetainLimit is dropped on release, like every other
+// buffer of the data path.
 var writeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-const writeBufRetain = 1 << 20
-
-// writeOne emits one raw protocol message as a single w.Write of header
-// plus body, assembled in a pooled scratch buffer (w copies the bytes
-// synchronously, so the scratch is safe to recycle on return).
-func writeOne(w io.Writer, typ MsgType, flags byte, body []byte) error {
+// writeOne emits one raw protocol message whose body is prefix followed by
+// body, as a single w.Write: header, prefix and body are assembled once in
+// a pooled scratch buffer, which is the only copy this layer makes of the
+// body (w copies the bytes synchronously, so the scratch is safe to
+// recycle on return).
+func writeOne(w io.Writer, typ MsgType, flags byte, prefix, body []byte) error {
 	bp := writeBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
+	n := len(prefix) + len(body)
+	buf := slices.Grow((*bp)[:0], HeaderSize+n)
 	buf = append(buf, Magic[:]...)
 	buf = append(buf, Version, byte(typ), flags, 0)
-	n := uint32(len(body))
-	buf = append(buf, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = append(buf, prefix...)
 	buf = append(buf, body...)
 	_, err := w.Write(buf)
-	if cap(buf) <= writeBufRetain {
+	if cap(buf) <= cdr.RetainLimit {
 		*bp = buf[:0]
 		writeBufPool.Put(bp)
 	}
 	return err
 }
 
-// Write encodes m to w, fragmenting bodies larger than FragmentSize.
-// Callers multiplexing a connection must serialize whole Write calls (a
-// fragment train may not interleave with other messages).
+// Write encodes m to w, fragmenting wire bodies larger than FragmentSize.
+// Only what precedes m.Body goes through an encoder; m.Body is copied once,
+// from where the caller left it into the frame. Callers multiplexing a
+// connection must serialize whole Write calls (a fragment train may not
+// interleave with other messages).
 func Write(w io.Writer, m *Message) error {
 	e := cdr.AcquireEncoder()
 	defer e.Release()
-	m.encodeBodyInto(e)
-	body := e.Bytes()
-	if len(body) > MaxMessageSize {
+	var body []byte
+	if m.encodePrefix(e) {
+		body = m.Body
+	}
+	prefix := e.Bytes()
+	if len(prefix)+len(body) > MaxMessageSize {
 		return ErrTooBig
 	}
-	frag := FragmentSize
-	if frag < HeaderSize {
-		frag = HeaderSize
-	}
-	if len(body) <= frag {
-		return writeOne(w, m.Type, 0, body)
-	}
-	chunk := body[:frag]
-	rest := body[frag:]
-	if err := writeOne(w, m.Type, flagMoreFragments, chunk); err != nil {
-		return err
-	}
-	for len(rest) > 0 {
-		n := frag
-		if n > len(rest) {
-			n = len(rest)
-		}
+	frag := max(FragmentSize, HeaderSize)
+	// Each frame takes the next frag bytes of prefix‖body; all but the
+	// first are MsgFragment continuations.
+	for typ := m.Type; ; typ = MsgFragment {
+		p := prefix[:min(frag, len(prefix))]
+		b := body[:min(frag-len(p), len(body))]
+		prefix, body = prefix[len(p):], body[len(b):]
 		flags := byte(0)
-		if n < len(rest) {
+		if len(prefix)+len(body) > 0 {
 			flags = flagMoreFragments
 		}
-		if err := writeOne(w, MsgFragment, flags, rest[:n]); err != nil {
+		if err := writeOne(w, typ, flags, p, b); err != nil || flags == 0 {
 			return err
 		}
-		rest = rest[n:]
 	}
-	return nil
 }
 
 // ErrOrphanFragment is reported when a MsgFragment arrives without a

@@ -38,8 +38,10 @@ type ListenFunc func(network, addr string) (net.Listener, error)
 // service context, the simulated cluster propagates virtual time. The
 // context returned by RequestSent flows to the matching ReplyReceived;
 // the context returned by DispatchStart is the one the servant sees via
-// ServerContext.Context, and flows to DispatchEnd. Implementations must
-// be safe for concurrent use.
+// ServerContext.Context, and flows to DispatchEnd. Messages received off
+// the wire alias pooled read windows: a hook may read them while it runs
+// and must copy what it keeps. Implementations must be safe for concurrent
+// use.
 type CallInterceptor interface {
 	// RequestSent runs on the client after a request is assembled,
 	// before it is written to the wire.
@@ -72,10 +74,11 @@ type Options struct {
 	// connection: at most this many servant invocations run concurrently.
 	// Zero means max(8, 2×GOMAXPROCS).
 	WorkerPool int
-	// ReadBatch caps how many request frames one connection's read loop
-	// hands to the dispatch pool per wakeup. Larger batches amortize
-	// syscalls under pipelining; smaller ones reduce burst latency skew
-	// across connections. Zero means 32.
+	// ReadBatch caps how many frames one connection's read loop takes per
+	// wakeup — requests it hands to the dispatch pool on the server side,
+	// replies it hands to their callers on the client side. Larger batches
+	// amortize syscalls under pipelining; smaller ones reduce burst
+	// latency skew across connections. Zero means 32.
 	ReadBatch int
 	// DispatchQueueDepth caps the total number of admitted requests
 	// waiting for a dispatch worker across all priority classes. Zero

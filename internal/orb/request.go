@@ -28,8 +28,7 @@ type Request struct {
 	sent        bool
 	intercepted bool
 	done        chan struct{}
-	msg         *giop.Message   // the request as sent (for ReplyReceived)
-	benc        *cdr.Encoder    // pooled encoder backing msg.Body
+	msg         *giop.Message   // the request as sent (for ReplyReceived); its Body is args' bytes
 	sentCtx     context.Context // ctx after the RequestSent hooks ran
 	reply       *giop.Message
 	err         error
@@ -95,15 +94,16 @@ func (r *Request) Send() {
 	r.sent = true
 	r.mu.Unlock()
 
-	m, enc := r.orb.buildRequest(r.ref, r.op, func(e *cdr.Encoder) {
-		e.PutRaw(r.args.Bytes())
-	})
+	// The request owns its argument stream for as long as it lives, so the
+	// message sends those bytes as they are.
+	m, _ := r.orb.buildRequest(r.ref, r.op, nil)
+	m.Body = r.args.Bytes()
 	if r.reqCtx.ID != 0 {
 		m.SetContext(r.reqCtx.ID, r.reqCtx.Data)
 	}
 	sctx := r.orb.callRequestSent(r.ctx, m)
 	r.mu.Lock()
-	r.msg, r.benc, r.sentCtx = m, enc, sctx
+	r.msg, r.sentCtx = m, sctx
 	r.mu.Unlock()
 
 	go func() {
@@ -141,13 +141,10 @@ func (r *Request) GetResponse(readReply func(*cdr.Decoder) error) error {
 	r.mu.Lock()
 	intercepted := r.intercepted
 	r.intercepted = true
-	benc := r.benc
-	r.benc = nil
 	r.mu.Unlock()
 	if r.err != nil {
 		if !intercepted {
 			r.orb.callReplyReceived(r.sentCtx, r.msg, nil, r.err)
-			benc.Release()
 		}
 		return r.err
 	}
@@ -155,9 +152,8 @@ func (r *Request) GetResponse(readReply func(*cdr.Decoder) error) error {
 		// Receive interceptors run here, in the consumer's goroutine, at
 		// most once per request (GetResponse may be called repeatedly).
 		r.orb.callReplyReceived(r.sentCtx, r.msg, r.reply, nil)
-		// The pooled request-body encoder is only released once every
-		// observer of msg.Body has run.
-		benc.Release()
 	}
+	// The reply is never released: it may be decoded again, so the read
+	// window it aliases is collected with the request, not recycled.
 	return decodeReply(r.reply, readReply)
 }
