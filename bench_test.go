@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/ft"
 )
 
 // fig3Bench runs one Figure 3 case across the paper's load sweep and
@@ -108,17 +107,6 @@ func BenchmarkAblationCheckpointEvery(b *testing.B) {
 			}
 		})
 	}
-	// Delta encoding at the paper's every=1 cadence cuts checkpoint
-	// bytes on the wire.
-	b.Run("every=1/delta", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows, err := experiments.RunTable1AblationPolicy(base, ft.Policy{CheckpointEvery: 1, DeltaCheckpoint: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			report(b, rows)
-		}
-	})
 }
 
 // BenchmarkAblationSelectionPolicy compares host-selection policies in

@@ -390,9 +390,6 @@ func (w *soakWorld) run(ctx context.Context, faulty bool) (*rosen.Result, ft.Sta
 			StrictCheckpoint: true,
 			MaxRecoveries:    10,
 			Backoff:          orb.Backoff{Base: 20 * time.Millisecond, Max: 150 * time.Millisecond},
-			// Exercise delta encoding through the quorum store: solve
-			// results must stay bitwise-identical.
-			DeltaCheckpoint: true,
 		},
 		Unbinder: w.resolver,
 	})

@@ -14,15 +14,9 @@ import (
 // RunTable1Ablation is the Table 1 cell with a configurable checkpoint
 // frequency: every=1 is the paper's checkpoint-after-each-call policy;
 // larger values amortize the overhead over several calls at the price of
-// a longer recovery replay window.
+// a longer recovery replay window. The returned rows carry the checkpoint
+// byte volume and how many checkpoints shipped as deltas.
 func RunTable1Ablation(cfg Table1Config, checkpointEvery int) ([]Table1Row, error) {
-	return RunTable1AblationPolicy(cfg, ft.Policy{CheckpointEvery: checkpointEvery})
-}
-
-// RunTable1AblationPolicy is the Table 1 cell with a fully configurable
-// checkpoint policy, for ablating delta encoding. The returned rows carry
-// the checkpoint byte volume so encodings can be compared directly.
-func RunTable1AblationPolicy(cfg Table1Config, policy ft.Policy) ([]Table1Row, error) {
 	if cfg.Repeats <= 0 {
 		cfg.Repeats = 1
 	}
@@ -50,7 +44,7 @@ func RunTable1AblationPolicy(cfg Table1Config, policy ft.Policy) ([]Table1Row, e
 			ManagerIterations: cfg.ManagerIterations, Seed: cfg.Seed,
 		}).WithFT(rosen.FTOptions{
 			Store:  w2.store,
-			Policy: policy,
+			Policy: ft.Policy{CheckpointEvery: checkpointEvery},
 		})
 		proxyRes, err := mgr.Run(context.Background())
 		stats := mgr.ProxyStats()

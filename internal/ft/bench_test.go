@@ -131,9 +131,6 @@ func BenchmarkProxyCall(b *testing.B) {
 	b.Run("every=1", func(b *testing.B) {
 		run(b, Policy{CheckpointEvery: 1})
 	})
-	b.Run("every=1/delta", func(b *testing.B) {
-		run(b, Policy{CheckpointEvery: 1, DeltaCheckpoint: true})
-	})
 	b.Run("nockpt", func(b *testing.B) {
 		run(b, Policy{CheckpointEvery: 0})
 	})

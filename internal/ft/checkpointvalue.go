@@ -60,8 +60,11 @@ func (c *Checkpoint) UnmarshalCDR(d *cdr.Decoder) error {
 // materialize resolves cp into full raw state bytes, given the full state
 // the store currently holds for the key (prev at prevEpoch; havePrev
 // false when nothing is stored). Delta checkpoints whose Base does not
-// match the stored epoch fail with ErrBadBase.
-func materialize(cp Checkpoint, prevEpoch uint64, prev []byte, havePrev bool) ([]byte, error) {
+// match the stored epoch fail with ErrBadBase. A full checkpoint comes
+// back as its own Data. A delta comes back in a new slice, unless inPlace
+// is set — the caller owns prev and nothing else can see it — and the
+// delta keeps the length: then prev is patched and returned.
+func materialize(cp Checkpoint, prevEpoch uint64, prev []byte, havePrev, inPlace bool) ([]byte, error) {
 	if !cp.IsDelta() {
 		return cp.Data, nil
 	}
@@ -71,7 +74,7 @@ func materialize(cp Checkpoint, prevEpoch uint64, prev []byte, havePrev bool) ([
 	if cp.Base != prevEpoch {
 		return nil, fmt.Errorf("%w: delta base %d, stored epoch %d", ErrBadBase, cp.Base, prevEpoch)
 	}
-	full, err := ApplyDelta(prev, cp.Data)
+	full, err := applyDelta(prev, cp.Data, inPlace)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}

@@ -1,6 +1,7 @@
 package ft
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -59,6 +60,7 @@ type recordingStore struct {
 
 func (s *recordingStore) Put(ctx context.Context, key string, cp Checkpoint) error {
 	s.mu.Lock()
+	cp.Data = bytes.Clone(cp.Data) // Put may not keep cp.Data
 	s.puts = append(s.puts, cp)
 	fail := s.failPut
 	s.mu.Unlock()

@@ -1,6 +1,7 @@
 package ft
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -319,6 +320,7 @@ func (s *orderedStore) Put(ctx context.Context, key string, cp Checkpoint) error
 	defer s.putMu.Unlock()
 	err := s.inner.Put(ctx, key, cp)
 	if err == nil {
+		cp.Data = bytes.Clone(cp.Data)
 		s.accepted = append(s.accepted, cp)
 	}
 	return err

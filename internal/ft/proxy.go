@@ -63,11 +63,6 @@ type Policy struct {
 	// failed — fail the call. Off by default: the business result is
 	// already known; the failure is still counted in Stats.
 	StrictCheckpoint bool
-	// DeltaCheckpoint encodes each checkpoint as a delta against the
-	// previously produced state when that is smaller, cutting checkpoint
-	// bytes on the wire. Store backends materialize deltas at Put time; a
-	// base mismatch (ErrBadBase) makes the proxy re-send a full snapshot.
-	DeltaCheckpoint bool
 }
 
 func (p Policy) withDefaults() Policy {
@@ -130,9 +125,15 @@ type Proxy struct {
 	// ckptMu serializes checkpoint production — the capture-order check,
 	// epoch allocation and delta encoding against lastFull. Lock order:
 	// ckptMu before mu, never the reverse.
-	ckptMu    sync.Mutex
-	lastFull  []byte // full state of the newest produced checkpoint
-	lastEpoch uint64 // epoch of lastFull
+	ckptMu sync.Mutex
+	// lastFull is the base of the next delta: the newest state the store is
+	// known to hold, at lastEpoch. It moves forward only, when a put of a
+	// newer epoch is acked or a Get returns a newer state — never when a
+	// checkpoint is merely produced, since its put may yet come back stale
+	// (another writer got that epoch) and a delta against it would then
+	// patch that writer's state.
+	lastFull  []byte
+	lastEpoch uint64
 	// snapRef and snapSeq identify the newest snapshot given an epoch: the
 	// servant it came from and that servant's capture sequence number. A
 	// snapshot from the same servant with a lower number is older than
@@ -185,7 +186,7 @@ func NewProxy(ctx context.Context, o *orb.ORB, name naming.Name, resolver Resolv
 		// delta has a base the store actually holds.
 		if cp, err := p.store.Get(ctx, p.key); err == nil {
 			p.epoch = cp.Epoch
-			p.lastFull, p.lastEpoch = cp.Data, cp.Epoch
+			p.advanceBase(cp.Epoch, cp.Data)
 		}
 	}
 	return p, nil
@@ -312,9 +313,11 @@ func (p *Proxy) storeSnapshot(ctx context.Context, ref orb.ObjectRef, payload []
 		return nil
 	}
 	p.snapRef, p.snapSeq = ref, seq
-	cp := p.nextCheckpoint(state)
+	cp, buf := p.nextCheckpoint(state)
 	p.ckptMu.Unlock()
-	if err := p.storePut(ctx, ref, cp, state); err != nil {
+	err := p.storePut(ctx, ref, cp, state)
+	buf.Release()
+	if err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -332,31 +335,48 @@ func (p *Proxy) checkpointFailed() {
 }
 
 // nextCheckpoint gives state the next epoch and its wire form: a delta
-// against the previous epoch's state when the policy asks for one and it
-// is smaller, the full state otherwise. The caller holds ckptMu.
-func (p *Proxy) nextCheckpoint(state []byte) Checkpoint {
+// against lastFull when that is the previous epoch's state and the delta
+// is shorter than state, the full state otherwise. A delta is encoded into
+// a pooled encoder, which the caller releases once the put is done (nil
+// for a full checkpoint). The caller holds ckptMu.
+func (p *Proxy) nextCheckpoint(state []byte) (Checkpoint, *cdr.Encoder) {
 	p.mu.Lock()
 	p.epoch++
 	epoch := p.epoch
 	p.mu.Unlock()
-	cp := Full(epoch, state)
-	if p.policy.DeltaCheckpoint && p.lastFull != nil && p.lastEpoch == epoch-1 {
-		if d := ComputeDelta(p.lastFull, state); len(d) < len(state) {
-			cp = Checkpoint{Epoch: epoch, Base: epoch - 1, Data: d}
-			p.mu.Lock()
-			p.stats.DeltaCheckpoints++
-			p.mu.Unlock()
-		}
+	if p.lastEpoch == 0 || p.lastEpoch+1 != epoch {
+		return Full(epoch, state), nil
 	}
-	p.lastFull, p.lastEpoch = state, epoch
-	return cp
+	var scratch [16]deltaSeg
+	segs, size := diffSegments(scratch[:0], p.lastFull, state, len(state))
+	if size >= len(state) {
+		return Full(epoch, state), nil
+	}
+	e := cdr.AcquireEncoder()
+	writeDelta(e, len(p.lastFull), state, segs)
+	p.mu.Lock()
+	p.stats.DeltaCheckpoints++
+	p.mu.Unlock()
+	return Checkpoint{Epoch: epoch, Base: epoch - 1, Data: e.Bytes()}, e
+}
+
+// advanceBase makes state, at epoch, the base of the next delta if it is
+// newer than the current one. The caller knows the store holds it: a put
+// of it was just acked, or a Get returned it.
+func (p *Proxy) advanceBase(epoch uint64, state []byte) {
+	p.ckptMu.Lock()
+	if epoch > p.lastEpoch {
+		p.lastFull, p.lastEpoch = state, epoch
+	}
+	p.ckptMu.Unlock()
 }
 
 // storePut writes cp — the state full, captured from the servant at ref —
 // to the store, synchronously: the call does not return before the store
 // has it. A delta whose base is not what the store holds (replica lag,
-// lost epoch) is re-sent as a full snapshot, which always applies.
-// storePut keeps the checkpoint counters.
+// lost epoch) is re-sent as a full snapshot, which always applies. An
+// acked put advances the delta base. storePut keeps the checkpoint
+// counters.
 func (p *Proxy) storePut(ctx context.Context, ref orb.ObjectRef, cp Checkpoint, full []byte) error {
 	ctx, span := obs.StartSpan(ctx, "ft.checkpoint",
 		obs.String("name", p.key), obs.String("target", ref.Addr))
@@ -370,6 +390,9 @@ func (p *Proxy) storePut(ctx context.Context, ref orb.ObjectRef, cp Checkpoint, 
 		wrote += len(full)
 	}
 	span.EndErr(err)
+	if err == nil {
+		p.advanceBase(cp.Epoch, full)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err != nil {
@@ -472,13 +495,11 @@ func (p *Proxy) restoreInto(ctx context.Context, ref orb.ObjectRef) error {
 		span.EndErr(err)
 		return err
 	}
-	// The server's state is now exactly the store's newest snapshot; base
-	// the next delta on it. (If the producer-side epoch ran ahead of the
-	// store — failed puts — the base check in nextCheckpoint falls back to
-	// a full snapshot on its own.)
-	p.ckptMu.Lock()
-	p.lastFull, p.lastEpoch = cp.Data, cp.Epoch
-	p.ckptMu.Unlock()
+	// The store holds this snapshot, so the next delta may be based on it.
+	// (If the producer-side epoch ran ahead of the store — failed puts —
+	// the base check in nextCheckpoint falls back to a full snapshot on its
+	// own.)
+	p.advanceBase(cp.Epoch, cp.Data)
 	p.mu.Lock()
 	if cp.Epoch > p.epoch {
 		p.epoch = cp.Epoch
@@ -517,9 +538,11 @@ func (p *Proxy) Migrate(ctx context.Context, target orb.ObjectRef) (err error) {
 		return fmt.Errorf("ft: migrate checkpoint: %w", err)
 	}
 	p.ckptMu.Lock()
-	cp := p.nextCheckpoint(state)
+	cp, buf := p.nextCheckpoint(state)
 	p.ckptMu.Unlock()
-	if err := p.storePut(ctx, cur, cp, state); err != nil {
+	err = p.storePut(ctx, cur, cp, state)
+	buf.Release()
+	if err != nil {
 		return fmt.Errorf("ft: migrate checkpoint: %w", err)
 	}
 	if err := p.restoreInto(ctx, target); err != nil {
@@ -549,13 +572,10 @@ func (p *Proxy) Seed(ctx context.Context, state []byte) (err error) {
 	if p.store == nil {
 		return nil
 	}
-	p.ckptMu.Lock()
 	p.mu.Lock()
 	p.epoch++
 	epoch := p.epoch
 	p.mu.Unlock()
-	p.lastFull, p.lastEpoch = state, epoch
-	p.ckptMu.Unlock()
 	span.SetAttr("epoch", fmt.Sprintf("%d", epoch))
 	return p.storePut(ctx, cur, Full(epoch, state), state)
 }

@@ -39,7 +39,8 @@ var ErrCorruptCheckpoint = errors.New("ft: corrupt checkpoint")
 // deadline; local implementations only check it on entry.
 // Implementations must be safe for concurrent use.
 type Store interface {
-	// Put stores cp as the checkpoint for key.
+	// Put stores cp as the checkpoint for key. It must not keep cp.Data
+	// past its return: the proxy encodes deltas into a recycled buffer.
 	Put(ctx context.Context, key string, cp Checkpoint) error
 	// Get returns the newest checkpoint for key, materialized to a full
 	// snapshot (Base 0).
@@ -68,7 +69,10 @@ func NewMemStore() *MemStore {
 	return &MemStore{data: make(map[string]memEntry)}
 }
 
-// Put implements Store.
+// Put implements Store. The stored buffer is the store's alone — Get hands
+// out copies — so a delta that keeps the length patches it in place, a
+// full checkpoint is copied into it when it fits, and only a delta that
+// changes the length leaves a new buffer, the one it was materialized in.
 func (s *MemStore) Put(ctx context.Context, key string, cp Checkpoint) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -79,13 +83,14 @@ func (s *MemStore) Put(ctx context.Context, key string, cp Checkpoint) error {
 	if ok && cp.Epoch <= cur.epoch {
 		return fmt.Errorf("%w: key %q epoch %d <= stored %d", ErrStaleEpoch, key, cp.Epoch, cur.epoch)
 	}
-	full, err := materialize(cp, cur.epoch, cur.data, ok)
+	full, err := materialize(cp, cur.epoch, cur.data, ok, true)
 	if err != nil {
 		return fmt.Errorf("%w (key %q)", err, key)
 	}
-	stored := make([]byte, len(full))
-	copy(stored, full)
-	s.data[key] = memEntry{epoch: cp.Epoch, data: stored}
+	if !cp.IsDelta() {
+		full = append(cur.data[:0], full...) // the caller's bytes
+	}
+	s.data[key] = memEntry{epoch: cp.Epoch, data: full}
 	return nil
 }
 
@@ -234,7 +239,7 @@ func (s *DiskStore) Put(ctx context.Context, key string, cp Checkpoint) error {
 	if haveCur && cp.Epoch <= curEpoch {
 		return fmt.Errorf("%w: key %q epoch %d <= stored %d", ErrStaleEpoch, key, cp.Epoch, curEpoch)
 	}
-	full, err := materialize(cp, curEpoch, curData, haveCur)
+	full, err := materialize(cp, curEpoch, curData, haveCur, false)
 	if err != nil {
 		return fmt.Errorf("%w (key %q)", err, key)
 	}
