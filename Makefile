@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-check fuzz chaos generate bench bench-json
+.PHONY: check fmt vet build test race bench-check fuzz chaos generate bench
 
 ## FUZZTIME is how long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 10s
@@ -73,17 +73,3 @@ generate:
 
 bench:
 	$(GO) test -bench 'Figure3|Table1|Ablation' -benchtime=1x
-
-## bench-json: machine-readable benchmark artifacts CI uploads per run —
-## the quick evaluation sweep (BENCH_PR3.json), the reactor saturation
-## sweep (BENCH_SATURATE.json), and the data-path microbenchmarks with
-## -benchmem (BENCH_PR6.json), gated by benchgate against the checked-in
-## baseline: >10% allocs/op growth (any growth on a zero-alloc baseline)
-## or >75% ns/op growth on any tracked benchmark fails the target.
-bench-json:
-	$(GO) run ./cmd/rosenbench -experiment both -quick -json > BENCH_PR3.json
-	$(GO) run ./cmd/rosenbench -saturate -quick -json > BENCH_SATURATE.json
-	( $(GO) test -run '^$$' -bench 'BenchmarkCallPath|BenchmarkSyncCall|BenchmarkOnewayDispatch|BenchmarkProxyCall' -benchmem -benchtime=5000x ./internal/orb/ ./internal/ft/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFlightRecord' -benchmem -benchtime=5000x ./internal/obs/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAblationCheckpointEvery' -benchmem -benchtime=1x . ) \
-		| $(GO) run ./cmd/benchgate -out BENCH_PR6.json -baseline BENCH_BASELINE_PR6.json -max-allocs-regress 10 -max-time-regress 75

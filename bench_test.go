@@ -78,37 +78,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheckpointEvery varies the checkpoint frequency (the
-// paper checkpoints after every call; this quantifies what relaxing that
-// buys). Uses the Table 1 world at a fixed iteration budget.
-func BenchmarkAblationCheckpointEvery(b *testing.B) {
-	base := experiments.Table1Config{
-		N: 30, Workers: 3,
-		Iterations:        []int{2000},
-		ManagerIterations: 3,
-		Seed:              1,
-		Repeats:           1,
-	}
-	report := func(b *testing.B, rows []experiments.Table1Row) {
-		b.Helper()
-		b.ReportMetric(rows[0].Proxy, "proxy_s")
-		b.ReportMetric(rows[0].OverheadPct(), "overhead_%")
-		b.ReportMetric(float64(rows[0].CheckpointBytes), "ckpt_B")
-		b.ReportMetric(float64(rows[0].DeltaCheckpoints), "deltas")
-	}
-	for _, every := range []int{1, 5, 25} {
-		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.RunTable1Ablation(base, every)
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, rows)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSelectionPolicy compares host-selection policies in
 // the naming service under partial load: Winner best-host vs round-robin
 // vs random. Reported metric is virtual runtime.

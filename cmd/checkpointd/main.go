@@ -22,67 +22,30 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/ft"
+	"repro/internal/naming"
 	"repro/internal/obs"
 	"repro/internal/orb"
 )
 
-// parsePeers turns the -peers value into object references. Each item is
-// a SIOR, or @path naming a file whose first line is one.
-func parsePeers(spec string) ([]orb.ObjectRef, error) {
-	var refs []orb.ObjectRef
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		if strings.HasPrefix(item, "@") {
-			raw, err := os.ReadFile(item[1:])
-			if err != nil {
-				return nil, fmt.Errorf("peer ref file: %w", err)
-			}
-			item = strings.TrimSpace(strings.SplitN(string(raw), "\n", 2)[0])
-		}
-		ref, err := orb.RefFromString(item)
-		if err != nil {
-			return nil, fmt.Errorf("peer ref %q: %w", item, err)
-		}
-		refs = append(refs, ref)
-	}
-	return refs, nil
-}
-
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9003", "listen address")
+	df := daemon.ServiceFlags(flag.CommandLine, "checkpointd", "127.0.0.1:9003")
 	dir := flag.String("dir", "", "persist checkpoints to this directory (empty: in-memory)")
-	refFile := flag.String("ref-file", "", "write the service SIOR to this file")
 	peers := flag.String("peers", "", "comma-separated peer replica SIORs (or @file) to form a quorum front-end")
-	obsAddr := flag.String("obs", "", "serve /metrics, /healthz and /debug endpoints on this address (empty: disabled)")
-	dumpDir := flag.String("dump-dir", "", "write anomaly flight-recorder dumps here (empty: disabled)")
-	workers := flag.Int("workers", 0, "dispatch worker pool size (0: 2×GOMAXPROCS)")
-	readBatch := flag.Int("read-batch", 0, "max request frames per connection read-loop wakeup (0: 32)")
-	replyCoalesce := flag.Duration("reply-coalesce", 0, "server reply-coalescing window (0: disabled)")
-	qosClasses := flag.String("qos-classes", "", "per-class dispatch weights, e.g. critical:16,normal:4,batch:1")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in req/s (0: unlimited)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant token-bucket burst (0: rate)")
-	degradeHigh := flag.Float64("degrade-high", 0, "load score that steps the runtime one degradation mode down (0: controller disabled)")
-	degradeLow := flag.Float64("degrade-low", 0.5, "load score that steps the runtime one degradation mode back up")
 	flag.Parse()
 	slog.SetDefault(obs.NewLogger(os.Stderr, "checkpointd", slog.LevelInfo))
 
-	weights, err := orb.ParseClassWeights(*qosClasses)
+	d, err := df.Start()
 	if err != nil {
-		log.Fatalf("checkpointd: -qos-classes: %v", err)
+		log.Fatalf("checkpointd: %v", err)
 	}
+	defer d.Close()
 
 	var local ft.Store
 	if *dir != "" {
@@ -97,25 +60,15 @@ func main() {
 		log.Print("checkpointd: in-memory store")
 	}
 
-	o := orb.New(orb.Options{Name: "checkpointd",
-		WorkerPool: *workers, ReadBatch: *readBatch, ReplyCoalesceWindow: *replyCoalesce,
-		QoS: orb.QoSOptions{Weights: weights, TenantRate: *tenantRate, TenantBurst: *tenantBurst}})
-	defer o.Shutdown()
-	if *degradeHigh > 0 {
-		stop := o.StartDegradeController(orb.DegradeConfig{High: *degradeHigh, Low: *degradeLow})
-		defer stop()
-		log.Printf("checkpointd: adaptive degradation on (high %.2f, low %.2f)", *degradeHigh, *degradeLow)
-	}
-
 	store := local
 	if *peers != "" {
-		peerRefs, err := parsePeers(*peers)
-		if err != nil {
-			log.Fatalf("checkpointd: %v", err)
-		}
 		replicas := []ft.Store{local}
-		for _, ref := range peerRefs {
-			replicas = append(replicas, ft.NewStoreClient(o, ref))
+		for _, spec := range naming.ParsePeerSpecs(*peers) {
+			ref, err := orb.RefFromSpec(spec)
+			if err != nil {
+				log.Fatalf("checkpointd: -peers: %v", err)
+			}
+			replicas = append(replicas, ft.NewStoreClient(d.ORB, ref))
 		}
 		rs, err := ft.NewReplicatedStore(replicas)
 		if err != nil {
@@ -125,20 +78,8 @@ func main() {
 		log.Printf("checkpointd: quorum front-end over %d replicas (majority %d)", rs.Replicas(), rs.Quorum())
 	}
 
-	ad, err := o.NewAdapter(*addr)
-	if err != nil {
-		log.Fatalf("checkpointd: %v", err)
-	}
-	ref := ad.Activate(ft.StoreDefaultKey, ft.NewStoreServant(store))
-	sior := ref.ToString()
-	fmt.Println(sior)
-	if *obsAddr != "" {
-		ob, ln, err := o.ObserveOpts("checkpointd", *obsAddr,
-			obs.ObserverOptions{Anomaly: obs.AnomalyOptions{DumpDir: *dumpDir}})
-		if err != nil {
-			log.Fatalf("checkpointd: obs endpoint: %v", err)
-		}
-		defer ln.Close()
+	ref := d.Adapter.Activate(ft.StoreDefaultKey, ft.NewStoreServant(store))
+	err = d.Announce(ref, func(ob *obs.Observer) {
 		// The store probe exercises the same path Get/Put ride (quorum
 		// front-end included), so /readyz flips when a majority is lost.
 		ob.Health.Register("store", func() error {
@@ -147,17 +88,9 @@ func main() {
 			_, err := store.Keys(ctx)
 			return err
 		})
-		fmt.Println("OBS:" + ln.Addr().String())
-		log.Printf("checkpointd: observability on http://%s/metrics", ln.Addr())
+	})
+	if err != nil {
+		log.Fatalf("checkpointd: %v", err)
 	}
-	if *refFile != "" {
-		if err := os.WriteFile(*refFile, []byte(sior+"\n"), 0o644); err != nil {
-			log.Fatalf("checkpointd: write ref file: %v", err)
-		}
-	}
-	log.Printf("checkpointd: serving on %s", ad.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	d.Wait()
 }

@@ -61,16 +61,24 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	if *qosMix != "" {
-		if *nsRef == "" {
-			log.Fatal("loadgen: -qos-mix needs -ns")
+	if *nsRef != "" {
+		ref, err := orb.RefFromSpec(*nsRef)
+		if err != nil {
+			log.Fatalf("loadgen: -ns: %v", err)
 		}
-		runQoSMix(*nsRef, *qosMix, *group, *tenants, *callInterval, *duration, sig)
+		name, err := naming.ParseName(*group)
+		if err != nil {
+			log.Fatalf("loadgen: bad -group name: %v", err)
+		}
+		if *qosMix != "" {
+			runQoSMix(ref, name, *qosMix, *tenants, *callInterval, *duration, sig)
+		} else {
+			runNamingStorm(ref, name, *clients, *pickInterval, *duration, *obsAddr, sig)
+		}
 		return
 	}
-	if *nsRef != "" {
-		runNamingStorm(*nsRef, *clients, *group, *pickInterval, *duration, *obsAddr, sig)
-		return
+	if *qosMix != "" {
+		log.Fatal("loadgen: -qos-mix needs -ns")
 	}
 
 	if *procs < 1 {
@@ -110,23 +118,7 @@ func wait(duration *time.Duration, sig chan os.Signal) {
 // runNamingStorm spins n simulated clients, each with its own GroupCache
 // (own subscription, own pushed view) sharing one ORB and one listener
 // adapter, picking from the group on a cadence.
-func runNamingStorm(refSpec string, n int, group string, pickEvery time.Duration, duration time.Duration, obsAddr string, sig chan os.Signal) {
-	if strings.HasPrefix(refSpec, "@") {
-		raw, err := os.ReadFile(refSpec[1:])
-		if err != nil {
-			log.Fatalf("loadgen: %v", err)
-		}
-		refSpec = strings.TrimSpace(string(raw))
-	}
-	ref, err := orb.RefFromString(refSpec)
-	if err != nil {
-		log.Fatalf("loadgen: bad -ns reference: %v", err)
-	}
-	name, err := naming.ParseName(group)
-	if err != nil {
-		log.Fatalf("loadgen: bad -group name: %v", err)
-	}
-
+func runNamingStorm(ref orb.ObjectRef, name naming.Name, n int, pickEvery time.Duration, duration time.Duration, obsAddr string, sig chan os.Signal) {
 	o := orb.New(orb.Options{Name: "loadgen"})
 	defer o.Shutdown()
 	ad, err := o.NewAdapter("127.0.0.1:0")
@@ -205,22 +197,7 @@ func runNamingStorm(refSpec string, n int, group string, pickEvery time.Duration
 // (TRANSIENT carrying a retry-after hint) split from other failures, so a
 // run against an overloaded server shows batch shedding while critical
 // stays clean.
-func runQoSMix(refSpec, mix, group string, tenants int, every, duration time.Duration, sig chan os.Signal) {
-	if strings.HasPrefix(refSpec, "@") {
-		raw, err := os.ReadFile(refSpec[1:])
-		if err != nil {
-			log.Fatalf("loadgen: %v", err)
-		}
-		refSpec = strings.TrimSpace(string(raw))
-	}
-	ref, err := orb.RefFromString(refSpec)
-	if err != nil {
-		log.Fatalf("loadgen: bad -ns reference: %v", err)
-	}
-	name, err := naming.ParseName(group)
-	if err != nil {
-		log.Fatalf("loadgen: bad -group name: %v", err)
-	}
+func runQoSMix(ref orb.ObjectRef, name naming.Name, mix string, tenants int, every, duration time.Duration, sig chan os.Signal) {
 	var counts [orb.NumClasses]int
 	for _, part := range strings.Split(mix, ",") {
 		cls, val, ok := strings.Cut(part, ":")

@@ -25,16 +25,14 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/naming"
 	"repro/internal/obs"
 	"repro/internal/orb"
@@ -42,9 +40,8 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9001", "listen address")
-	winnerRef := flag.String("winner", "", "SIOR of the Winner system manager (enables load distribution)")
-	refFile := flag.String("ref-file", "", "write the service SIOR to this file")
+	df := daemon.ServiceFlags(flag.CommandLine, "nameserver", "127.0.0.1:9001")
+	winnerRef := flag.String("winner", "", "SIOR (or @ref-file) of the Winner system manager (enables load distribution)")
 	store := flag.String("store", "", "persist bindings to this snapshot file")
 	savePeriod := flag.Duration("save-period", 10*time.Second, "snapshot save interval (with -store)")
 	peers := flag.String("peers", "", "comma-separated peer nameserver SIORs or @ref-file specs (enables replication)")
@@ -52,37 +49,16 @@ func main() {
 	sweepPeriod := flag.Duration("sweep-period", 500*time.Millisecond, "leased-offer expiry sweep interval")
 	pushTimeout := flag.Duration("push-timeout", 2*time.Second, "per-watcher invalidation push timeout")
 	watchTTL := flag.Duration("watch-ttl", 5*time.Minute, "drop watchers silent for this long")
-	obsAddr := flag.String("obs", "", "serve /metrics, /healthz and /debug endpoints on this address (empty: disabled)")
-	dumpDir := flag.String("dump-dir", "", "write anomaly flight-recorder dumps here (empty: disabled)")
-	workers := flag.Int("workers", 0, "dispatch worker pool size (0: 2×GOMAXPROCS)")
-	readBatch := flag.Int("read-batch", 0, "max request frames per connection read-loop wakeup (0: 32)")
-	replyCoalesce := flag.Duration("reply-coalesce", 0, "server reply-coalescing window (0: disabled)")
-	qosClasses := flag.String("qos-classes", "", "per-class dispatch weights, e.g. critical:16,normal:4,batch:1")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in req/s (0: unlimited)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant token-bucket burst (0: rate)")
-	degradeHigh := flag.Float64("degrade-high", 0, "load score that steps the runtime one degradation mode down (0: controller disabled)")
-	degradeLow := flag.Float64("degrade-low", 0.5, "load score that steps the runtime one degradation mode back up")
 	elastic := flag.Bool("elastic", false, "maintain a cluster membership view from offer lifecycle (hosts join on first bound offer, leave on last)")
 	flag.Parse()
 	slog.SetDefault(obs.NewLogger(os.Stderr, "nameserver", slog.LevelInfo))
 
-	weights, err := orb.ParseClassWeights(*qosClasses)
-	if err != nil {
-		log.Fatalf("nameserver: -qos-classes: %v", err)
-	}
-	o := orb.New(orb.Options{Name: "nameserver",
-		WorkerPool: *workers, ReadBatch: *readBatch, ReplyCoalesceWindow: *replyCoalesce,
-		QoS: orb.QoSOptions{Weights: weights, TenantRate: *tenantRate, TenantBurst: *tenantBurst}})
-	defer o.Shutdown()
-	if *degradeHigh > 0 {
-		stop := o.StartDegradeController(orb.DegradeConfig{High: *degradeHigh, Low: *degradeLow})
-		defer stop()
-		log.Printf("nameserver: adaptive degradation on (high %.2f, low %.2f)", *degradeHigh, *degradeLow)
-	}
-	ad, err := o.NewAdapter(*addr)
+	d, err := df.Start()
 	if err != nil {
 		log.Fatalf("nameserver: %v", err)
 	}
+	defer d.Close()
+	o := d.ORB
 
 	reg := naming.NewRegistry()
 	if *store != "" {
@@ -94,9 +70,9 @@ func main() {
 	var servant *naming.Servant
 	var selector *core.WinnerSelector
 	if *winnerRef != "" {
-		ref, err := orb.RefFromString(*winnerRef)
+		ref, err := orb.RefFromSpec(*winnerRef)
 		if err != nil {
-			log.Fatalf("nameserver: bad -winner reference: %v", err)
+			log.Fatalf("nameserver: -winner: %v", err)
 		}
 		selector = core.NewWinnerSelector(core.ClientRanker{C: winner.NewClient(o, ref)}, nil)
 		servant = naming.NewServant(reg, selector)
@@ -156,21 +132,8 @@ func main() {
 		log.Printf("nameserver: replicating to %d peers every %v", len(specs), *syncPeriod)
 	}
 
-	// Catch termination signals before announcing the SIOR: whoever reads
-	// it may signal at once, and must get the final snapshot, not a kill.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	ref := ad.Activate(naming.DefaultKey, servant)
-	sior := ref.ToString()
-	fmt.Println(sior)
-	if *obsAddr != "" {
-		ob, ln, err := o.ObserveOpts("nameserver", *obsAddr,
-			obs.ObserverOptions{Anomaly: obs.AnomalyOptions{DumpDir: *dumpDir}})
-		if err != nil {
-			log.Fatalf("nameserver: obs endpoint: %v", err)
-		}
-		defer ln.Close()
+	ref := d.Adapter.Activate(naming.DefaultKey, servant)
+	err = d.Announce(ref, func(ob *obs.Observer) {
 		ob.Health.Register("hub", hub.HealthProbe)
 		if repl != nil {
 			ob.Health.Register("replication", repl.HealthProbe)
@@ -201,15 +164,10 @@ func main() {
 		if membership != nil {
 			membership.ExportMetrics(ob.Registry)
 		}
-		fmt.Println("OBS:" + ln.Addr().String())
-		log.Printf("nameserver: observability on http://%s/metrics", ln.Addr())
+	})
+	if err != nil {
+		log.Fatalf("nameserver: %v", err)
 	}
-	if *refFile != "" {
-		if err := os.WriteFile(*refFile, []byte(sior+"\n"), 0o644); err != nil {
-			log.Fatalf("nameserver: write ref file: %v", err)
-		}
-	}
-	log.Printf("nameserver: serving on %s", ad.Addr())
 
 	var saveTick <-chan time.Time
 	if *store != "" {
@@ -223,7 +181,7 @@ func main() {
 			if err := reg.SaveFile(*store); err != nil {
 				log.Printf("nameserver: snapshot: %v", err)
 			}
-		case <-sig:
+		case <-d.Signals:
 			if *store != "" {
 				if err := reg.SaveFile(*store); err != nil {
 					log.Printf("nameserver: final snapshot: %v", err)

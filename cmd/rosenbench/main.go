@@ -19,7 +19,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -29,17 +28,11 @@ import (
 // each carrying its full parameter set and its raw result rows so the
 // numbers can be re-plotted without scraping the rendered tables.
 type jsonReport struct {
-	Experiment string          `json:"experiment"`
-	Quick      bool            `json:"quick"`
-	Seed       int64           `json:"seed"`
-	Figure3    *fig3Result     `json:"figure3,omitempty"`
-	Table1     *table1Result   `json:"table1,omitempty"`
-	Saturate   *saturateResult `json:"saturate,omitempty"`
-}
-
-type saturateResult struct {
-	Config experiments.SaturateConfig `json:"config"`
-	Rows   []experiments.SaturateRow  `json:"rows"`
+	Experiment string        `json:"experiment"`
+	Quick      bool          `json:"quick"`
+	Seed       int64         `json:"seed"`
+	Figure3    *fig3Result   `json:"figure3,omitempty"`
+	Table1     *table1Result `json:"table1,omitempty"`
 }
 
 type fig3Result struct {
@@ -68,38 +61,7 @@ func main() {
 	trace := flag.Bool("trace", false, "collect RPC traces during table1 and print a latency/trace report")
 	flightrec := flag.String("flightrec", "", "with -trace, save the flight-recorder snapshot to this JSON file after table1")
 	traceTop := flag.Int("trace-top", 5, "number of slowest traces to print with -trace")
-	saturate := flag.Bool("saturate", false, "run the reactor saturation sweep instead of the paper experiments")
-	workers := flag.Int("workers", 0, "server dispatch worker pool size for -saturate (0 = default)")
-	readBatch := flag.Int("read-batch", 0, "server frames-per-wakeup batch cap for -saturate (0 = default)")
-	replyCoalesce := flag.Duration("reply-coalesce", 100*time.Microsecond, "server reply-coalescing window for -saturate (0 disables)")
 	flag.Parse()
-
-	if *saturate {
-		cfg := experiments.DefaultSaturateConfig()
-		cfg.WorkerPool = *workers
-		cfg.ReadBatch = *readBatch
-		cfg.ReplyCoalesceWindow = *replyCoalesce
-		if *quick {
-			cfg.Concurrency = []int{1, 8, 32}
-			cfg.Duration = 100 * time.Millisecond
-		}
-		rows, err := experiments.RunSaturate(cfg)
-		if err != nil {
-			log.Fatalf("rosenbench: saturate: %v", err)
-		}
-		if *jsonOut {
-			report := jsonReport{Experiment: "saturate", Quick: *quick, Seed: *seed,
-				Saturate: &saturateResult{Config: cfg, Rows: rows}}
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(report); err != nil {
-				log.Fatalf("rosenbench: encode json: %v", err)
-			}
-			return
-		}
-		experiments.RenderSaturate(os.Stdout, rows)
-		return
-	}
 
 	runFig3 := *experiment == "fig3" || *experiment == "both"
 	runTable1 := *experiment == "table1" || *experiment == "both"

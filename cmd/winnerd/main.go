@@ -20,46 +20,28 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/orb"
 	"repro/internal/winner"
 )
 
 func main() {
+	df := daemon.ServiceFlags(flag.CommandLine, "winnerd", "127.0.0.1:9002")
 	role := flag.String("role", "system", "system | node")
-	addr := flag.String("addr", "127.0.0.1:9002", "listen address (system role)")
-	managerRef := flag.String("manager", "", "SIOR of the system manager (node role)")
+	managerRef := flag.String("manager", "", "SIOR (or @ref-file) of the system manager (node role)")
 	host := flag.String("host", "", "host name to report (node role; default: hostname)")
 	speed := flag.Float64("speed", 1, "relative CPU speed of this host (node role)")
 	period := flag.Duration("period", 2*time.Second, "sampling period (node role)")
-	refFile := flag.String("ref-file", "", "write the system manager SIOR to this file")
 	maxAge := flag.Duration("max-sample-age", 0, "treat load samples older than this as stale (system role; 0: never)")
-	obsAddr := flag.String("obs", "", "serve /metrics, /healthz and /debug endpoints on this address (system role; empty: disabled)")
-	dumpDir := flag.String("dump-dir", "", "write anomaly flight-recorder dumps here (system role; empty: disabled)")
-	workers := flag.Int("workers", 0, "dispatch worker pool size (0: 2×GOMAXPROCS)")
-	readBatch := flag.Int("read-batch", 0, "max request frames per connection read-loop wakeup (0: 32)")
-	replyCoalesce := flag.Duration("reply-coalesce", 0, "server reply-coalescing window (0: disabled)")
-	qosClasses := flag.String("qos-classes", "", "per-class dispatch weights, e.g. critical:16,normal:4,batch:1")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in req/s (0: unlimited)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant token-bucket burst (0: rate)")
-	degradeHigh := flag.Float64("degrade-high", 0, "load score that steps the runtime one degradation mode down (0: controller disabled)")
-	degradeLow := flag.Float64("degrade-low", 0.5, "load score that steps the runtime one degradation mode back up")
 	degradeTrend := flag.Float64("degrade-trend", 0, "effective-speed fraction of a host's peak below which it counts as degrading (system role; 0: membership view disabled)")
 	degradeSamples := flag.Int("degrade-samples", 3, "consecutive below-trend samples before a Degrading membership event fires (system role)")
 	flag.Parse()
 	slog.SetDefault(obs.NewLogger(os.Stderr, "winnerd", slog.LevelInfo))
 
-	weights, err := orb.ParseClassWeights(*qosClasses)
-	if err != nil {
-		log.Fatalf("winnerd: -qos-classes: %v", err)
-	}
-	tuning := orb.Options{WorkerPool: *workers, ReadBatch: *readBatch, ReplyCoalesceWindow: *replyCoalesce,
-		QoS: orb.QoSOptions{Weights: weights, TenantRate: *tenantRate, TenantBurst: *tenantBurst}}
-
 	switch *role {
 	case "system":
-		runSystem(*addr, *refFile, *obsAddr, *dumpDir, *maxAge, tuning,
-			*degradeHigh, *degradeLow, *degradeTrend, *degradeSamples)
+		runSystem(df, *maxAge, *degradeTrend, *degradeSamples)
 	case "node":
 		runNode(*managerRef, *host, *speed, *period)
 	default:
@@ -67,19 +49,14 @@ func main() {
 	}
 }
 
-func runSystem(addr, refFile, obsAddr, dumpDir string, maxAge time.Duration, tuning orb.Options, degradeHigh, degradeLow, degradeTrend float64, degradeSamples int) {
-	tuning.Name = "winnerd"
-	o := orb.New(tuning)
-	defer o.Shutdown()
-	if degradeHigh > 0 {
-		stop := o.StartDegradeController(orb.DegradeConfig{High: degradeHigh, Low: degradeLow})
-		defer stop()
-		log.Printf("winnerd: adaptive degradation on (high %.2f, low %.2f)", degradeHigh, degradeLow)
-	}
-	ad, err := o.NewAdapter(addr)
+// runSystem serves the system manager; the shared daemon flags apply to
+// this role only.
+func runSystem(df *daemon.Flags, maxAge time.Duration, degradeTrend float64, degradeSamples int) {
+	d, err := df.Start()
 	if err != nil {
 		log.Fatalf("winnerd: %v", err)
 	}
+	defer d.Close()
 	mgr := winner.NewManager()
 	if maxAge > 0 {
 		mgr.SetMaxSampleAge(maxAge, time.Now)
@@ -99,16 +76,8 @@ func runSystem(addr, refFile, obsAddr, dumpDir string, maxAge time.Duration, tun
 		log.Printf("winnerd: membership view on (degrade trend %.2f over %d samples)",
 			degradeTrend, degradeSamples)
 	}
-	ref := ad.Activate(winner.DefaultKey, winner.NewServant(mgr))
-	sior := ref.ToString()
-	fmt.Println(sior)
-	if obsAddr != "" {
-		ob, ln, err := o.ObserveOpts("winnerd", obsAddr,
-			obs.ObserverOptions{Anomaly: obs.AnomalyOptions{DumpDir: dumpDir}})
-		if err != nil {
-			log.Fatalf("winnerd: obs endpoint: %v", err)
-		}
-		defer ln.Close()
+	ref := d.Adapter.Activate(winner.DefaultKey, winner.NewServant(mgr))
+	err = d.Announce(ref, func(ob *obs.Observer) {
 		ob.Health.Register("winner", func() error {
 			if stale := len(mgr.StaleHosts()); stale > 0 {
 				return fmt.Errorf("%d hosts with stale load samples", stale)
@@ -124,25 +93,20 @@ func runSystem(addr, refFile, obsAddr, dumpDir string, maxAge time.Duration, tun
 		if membership != nil {
 			membership.ExportMetrics(ob.Registry)
 		}
-		fmt.Println("OBS:" + ln.Addr().String())
-		log.Printf("winnerd: observability on http://%s/metrics", ln.Addr())
+	})
+	if err != nil {
+		log.Fatalf("winnerd: %v", err)
 	}
-	if refFile != "" {
-		if err := os.WriteFile(refFile, []byte(sior+"\n"), 0o644); err != nil {
-			log.Fatalf("winnerd: write ref file: %v", err)
-		}
-	}
-	log.Printf("winnerd: system manager on %s", ad.Addr())
-	wait()
+	d.Wait()
 }
 
 func runNode(managerRef, host string, speed float64, period time.Duration) {
 	if managerRef == "" {
 		log.Fatal("winnerd: -role node requires -manager")
 	}
-	ref, err := orb.RefFromString(managerRef)
+	ref, err := orb.RefFromSpec(managerRef)
 	if err != nil {
-		log.Fatalf("winnerd: bad -manager reference: %v", err)
+		log.Fatalf("winnerd: -manager: %v", err)
 	}
 	o := orb.New(orb.Options{Name: "winnerd-node"})
 	defer o.Shutdown()
@@ -152,10 +116,6 @@ func runNode(managerRef, host string, speed float64, period time.Duration) {
 	nm.Start()
 	defer nm.Stop()
 	log.Printf("winnerd: node manager reporting %q every %v", src.Sample().Host, period)
-	wait()
-}
-
-func wait() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig

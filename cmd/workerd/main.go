@@ -14,14 +14,12 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/ft"
 	"repro/internal/naming"
 	"repro/internal/obs"
@@ -30,12 +28,10 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:0", "listen address")
-	nsSIOR := flag.String("ns", "", "naming service SIOR to announce the worker to (empty: no registration)")
+	df := daemon.ListenFlags(flag.CommandLine, "workerd", "127.0.0.1:0")
+	nsSIOR := flag.String("ns", "", "naming service SIOR (or @ref-file) to announce the worker to (empty: no registration)")
 	host := flag.String("host", "", "logical host name carried in the offer (default: the hostname)")
 	ttl := flag.Duration("ttl", 2*time.Second, "offer lease TTL; 0 binds without a lease")
-	obsAddr := flag.String("obs", "", "serve /metrics, /healthz and /debug endpoints on this address (empty: disabled)")
-	workers := flag.Int("workers", 0, "dispatch worker pool size (0: 2×GOMAXPROCS)")
 	flag.Parse()
 	slog.SetDefault(obs.NewLogger(os.Stderr, "workerd", slog.LevelInfo))
 
@@ -47,44 +43,31 @@ func main() {
 		*host = h
 	}
 
-	o := orb.New(orb.Options{Name: "workerd", WorkerPool: *workers})
-	defer o.Shutdown()
-	ad, err := o.NewAdapter(*addr)
+	d, err := df.Start()
 	if err != nil {
 		log.Fatalf("workerd: %v", err)
 	}
-	ref := ad.Activate("worker", ft.Wrap(rosen.NewWorker(nil)))
+	defer d.Close()
+	ref := d.Adapter.Activate("worker", ft.Wrap(rosen.NewWorker(nil)))
 
 	var ann *rosen.Announcement
 	if *nsSIOR != "" {
-		nsRef, err := orb.RefFromString(*nsSIOR)
+		nsRef, err := orb.RefFromSpec(*nsSIOR)
 		if err != nil {
 			log.Fatalf("workerd: -ns: %v", err)
 		}
-		nsc := naming.NewClient(o, nsRef)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		ann, err = rosen.AnnounceWorker(ctx, nsc, ref, *host, *ttl)
+		ann, err = rosen.AnnounceWorker(ctx, naming.NewClient(d.ORB, nsRef), ref, *host, *ttl)
 		cancel()
 		if err != nil {
 			log.Fatalf("workerd: announce: %v", err)
 		}
 		log.Printf("workerd: announced %s on %q (lease %v)", ref.Addr, *host, *ttl)
 	}
-
-	fmt.Println(ref.ToString())
-	if *obsAddr != "" {
-		_, ln, err := o.ObserveOpts("workerd", *obsAddr, obs.ObserverOptions{})
-		if err != nil {
-			log.Fatalf("workerd: obs endpoint: %v", err)
-		}
-		defer ln.Close()
-		fmt.Println("OBS:" + ln.Addr().String())
+	if err := d.Announce(ref, nil); err != nil {
+		log.Fatalf("workerd: %v", err)
 	}
-	log.Printf("workerd: serving on %s as host %q", ad.Addr(), *host)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	d.Wait()
 	if ann != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		ann.Stop(ctx)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,17 +107,9 @@ func (p *replPeer) resolve(o *orb.ORB) (*Client, error) {
 	if p.client != nil {
 		return p.client, nil
 	}
-	spec := p.spec
-	if strings.HasPrefix(spec, "@") {
-		raw, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return nil, fmt.Errorf("naming: peer ref file: %w", err)
-		}
-		spec = strings.TrimSpace(string(raw))
-	}
-	ref, err := orb.RefFromString(spec)
+	ref, err := orb.RefFromSpec(p.spec)
 	if err != nil {
-		return nil, fmt.Errorf("naming: peer reference: %w", err)
+		return nil, fmt.Errorf("naming: peer: %w", err)
 	}
 	p.client = NewClient(o, ref)
 	return p.client, nil

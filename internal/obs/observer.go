@@ -27,8 +27,8 @@ import (
 // sampler declines a trace, no Span is created at all — the client pins
 // a pooled obsCall in the context (one allocation) so latency metrics
 // still flow, the wire carries a pre-encoded "not sampled" SCTrace, and
-// the server side adds nothing. The ≤2-allocs-per-call budget over an
-// unobserved ORB is enforced by BenchmarkSyncCallObserved via benchgate.
+// the server side adds nothing. BenchmarkSyncCallObserved measures the
+// ≤2-allocs-per-call budget over an unobserved ORB.
 type Observer struct {
 	Service  string
 	Tracer   *Tracer

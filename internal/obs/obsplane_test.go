@@ -454,7 +454,7 @@ func checkHistogramCumulative(t *testing.T, text string) {
 	}
 }
 
-// BenchmarkFlightRecord is benchgate's zero-alloc gate for the
+// BenchmarkFlightRecord measures the zero-alloc budget of the
 // flight-recorder record path: one record per request at full reactor
 // throughput must not touch the allocator.
 func BenchmarkFlightRecord(b *testing.B) {

@@ -56,8 +56,8 @@ func newBenchWorldOpts(b *testing.B, clientOpts, srvOpts Options) (*ORB, ObjectR
 }
 
 // BenchmarkCallPath measures the synchronous invocation hot path end to
-// end (marshal, wire round trip, unmarshal) over loopback TCP. This is
-// the microbenchmark the PR-level allocation gate (cmd/benchgate) tracks.
+// end (marshal, wire round trip, unmarshal) over loopback TCP;
+// TestEchoAllocationCeiling pins its allocations deterministically.
 func BenchmarkCallPath(b *testing.B) {
 	args := make([]float64, 16)
 	for i := range args {
@@ -107,8 +107,7 @@ func BenchmarkCallPath(b *testing.B) {
 // over loopback TCP — the reactor's design point: pipelined requests let
 // the server drain multiple frames per read syscall and coalesce reply
 // flushes, so per-call cost amortizes well below the serial round-trip
-// floor. This is the PR6 latency gate (cmd/benchgate tracks ns/op and
-// allocs/op).
+// floor.
 func BenchmarkSyncCall(b *testing.B) {
 	cli, ref := newBenchWorldOpts(b,
 		Options{},
@@ -141,8 +140,8 @@ func BenchmarkSyncCall(b *testing.B) {
 // BenchmarkSyncCallObserved is BenchmarkSyncCall with the full signal
 // plane attached: tracing interceptor (head sampling off, so the fast
 // path is measured), ORB stats exported, queue-wait/service histograms
-// live and both ORBs feeding one flight recorder. The benchgate budget
-// for this path is ≤2 allocs/op over BenchmarkSyncCall — observability
+// live and both ORBs feeding one flight recorder. The budget for this
+// path is ≤2 allocs/op over BenchmarkSyncCall — observability
 // must not tax the data path it observes.
 func BenchmarkSyncCallObserved(b *testing.B) {
 	srv := New(Options{Name: "bench-srv", ReplyCoalesceWindow: 100 * time.Microsecond})
@@ -193,8 +192,8 @@ func BenchmarkSyncCallObserved(b *testing.B) {
 // it at admission, runs the tenant token bucket and routes through the
 // per-class weighted queues. The client folds its options once and uses
 // CallOpts per call — the pattern of every long-lived stamped caller
-// (Caller.Opts, naming.Client.SetCallOptions). The benchgate budget for
-// this path is ≤2 allocs/op over BenchmarkSyncCallObserved — admission
+// (Caller.Opts, naming.Client.SetCallOptions). The budget for this
+// path is ≤2 allocs/op over BenchmarkSyncCallObserved — admission
 // control must not tax the calls it admits.
 func BenchmarkSyncCallQoS(b *testing.B) {
 	cli, ref := newBenchWorldOpts(b,
@@ -248,8 +247,8 @@ func (r *loopReader) Read(p []byte) (int, error) {
 
 // BenchmarkOnewayDispatch measures the server-side oneway path in
 // isolation — frame ingest through the FrameReader plus servant dispatch,
-// no socket: this is the reactor's zero-allocation steady state, gated at
-// 0 allocs/op by cmd/benchgate.
+// no socket: this is the reactor's zero-allocation steady state
+// (0 allocs/op).
 func BenchmarkOnewayDispatch(b *testing.B) {
 	srv := New(Options{Name: "bench-dispatch"})
 	b.Cleanup(srv.Shutdown)

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 
 	"repro/internal/cdr"
@@ -78,6 +79,25 @@ func RefFromString(s string) (ObjectRef, error) {
 	}
 	if err := r.UnmarshalCDR(d); err != nil {
 		return r, fmt.Errorf("%w: %v", ErrBadRef, err)
+	}
+	return r, nil
+}
+
+// RefFromSpec parses a reference as the daemons take it: a SIOR, or
+// @path naming a file whose first line is one (the format -ref-file
+// writes). Errors name the spec.
+func RefFromSpec(spec string) (ObjectRef, error) {
+	s := spec
+	if strings.HasPrefix(spec, "@") {
+		raw, err := os.ReadFile(spec[1:])
+		if err != nil {
+			return ObjectRef{}, fmt.Errorf("reference %q: %w", spec, err)
+		}
+		s, _, _ = strings.Cut(string(raw), "\n")
+	}
+	r, err := RefFromString(strings.TrimSpace(s))
+	if err != nil {
+		return r, fmt.Errorf("reference %q: %w", spec, err)
 	}
 	return r, nil
 }
