@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime $(FUZZTIME) ./internal/giop
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/ft
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointContext$$' -fuzztime $(FUZZTIME) ./internal/ft
 
 ## chaos: the fault-injection soaks — Rosenbrock under worker kills, a
 ## naming partition, checkpoint-path delays and a checkpointd replica

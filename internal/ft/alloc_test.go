@@ -50,11 +50,12 @@ func allocsPerCall(calls int, f func()) (objects, bytes float64) {
 // counters over a few hundred calls, no timing, every end included: the
 // servant, its ORB, the client, the proxy and a store service on an ORB of
 // its own. A call costs at most 22 objects, on a 528 B state as on a
-// 64 KiB one, and at most 3.5 times a 64 KiB state's size in bytes: the
-// servant's Checkpoint(), the reply context and the client's copy of it
-// are the three copies left. The put carries a delta of the one element
-// that changed, and the store patches its buffer in place, where a full
-// put cost two more copies (the store's decode and its own).
+// 64 KiB one, and at most 1.5 times a 64 KiB state's size in bytes: the
+// servant's Checkpoint(), which its Wrapper keeps as the next delta base,
+// is the one copy left. The reply carries a delta of the one element that
+// changed, the proxy relays it to the store, and proxy and store patch
+// their bases in place, where a full reply cost two more copies (the
+// reply context and the client's copy of it).
 func TestProxiedCallAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops what it is given under the race detector")
@@ -65,7 +66,7 @@ func TestProxiedCallAllocationCeiling(t *testing.T) {
 		maxBytes   float64
 	}{
 		{64, 22, math.Inf(1)},
-		{8192, 22, 3.5 * (16 + 8*8192)},
+		{8192, 22, 1.5 * (16 + 8*8192)},
 	} {
 		srv := orb.New(orb.Options{Name: "alloc-srv"})
 		t.Cleanup(srv.Shutdown)

@@ -1,6 +1,7 @@
 package ft
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/naming"
 	"repro/internal/orb"
 )
@@ -192,4 +194,83 @@ func TestBulkStateSurvivesCrashBitExact(t *testing.T) {
 		t.Fatalf("stored checkpoint (epoch %d, %d bytes) is not the live state (epoch %d, %d bytes)",
 			cp.Epoch, len(cp.Data), sets, len(live))
 	}
+}
+
+// checkMarkedRepliesAreSmall drives 20 set calls on a 64 KiB vector through
+// a CheckpointEvery: 1 proxy — deferred, through RequestProxy, when
+// deferred is set — and reads every reply's SCCheckpoint context off the
+// wire: the first carries the state in full, every later one only the
+// element that call changed. The store relays those deltas and ends up
+// holding the servant's state.
+func checkMarkedRepliesAreSmall(t *testing.T, deferred bool) {
+	t.Helper()
+	const dim, calls = 8192, 20
+	ctx := context.Background()
+	var mu sync.Mutex
+	var sizes []int
+	hook := &clientHook{reply: func(req, reply *giop.Message, _ error) {
+		if req.Operation == "set" && reply != nil {
+			mu.Lock()
+			sizes = append(sizes, len(reply.Context(giop.SCCheckpoint)))
+			mu.Unlock()
+		}
+	}}
+	srv := orb.New(orb.Options{Name: "vec-srv"})
+	t.Cleanup(srv.Shutdown)
+	ad, err := srv.NewAdapter("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := &vectorServant{vec: make([]float64, dim)}
+	ref := ad.Activate("vec", Wrap(sv))
+	cli := orb.New(orb.Options{Name: "vec-cli", CallInterceptors: []orb.CallInterceptor{hook}})
+	t.Cleanup(cli.Shutdown)
+	store := NewMemStore()
+	p, err := NewProxy(ctx, cli, naming.NewName("vec"), &benchResolver{ref: ref}, store, Policy{CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < calls; k++ {
+		i, bits := int32(k*409%dim), uint64(k+1)
+		if deferred {
+			req := p.NewRequest(ctx, "set")
+			req.Args().PutInt32(i)
+			req.Args().PutUint64(bits)
+			req.Send()
+			err = req.GetResponse(nil)
+		} else {
+			err = p.Call(ctx, "set", func(e *cdr.Encoder) { e.PutInt32(i); e.PutUint64(bits) }, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(sizes) != calls || sizes[0] < 8*dim {
+		t.Fatalf("reply context sizes %v: want %d, the first carrying the whole state", sizes, calls)
+	}
+	for k, n := range sizes[1:] {
+		if n >= 256 {
+			t.Fatalf("reply %d carries a %d B checkpoint context after the first call, want < 256 B", k+2, n)
+		}
+	}
+	if st := p.Stats(); st.Checkpoints != calls || st.DeltaCheckpoints != calls-1 || st.CheckpointFailures != 0 {
+		t.Fatalf("stats = %+v, want %d checkpoints, all but the first relayed deltas", st, calls)
+	}
+	cp, err := store.Get(ctx, "vec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, _ := sv.Checkpoint(); !bytes.Equal(cp.Data, live) {
+		t.Fatal("the store does not hold the servant's state")
+	}
+}
+
+// TestMarkedRepliesCarryOnlyWhatChanged is the synchronous path.
+func TestMarkedRepliesCarryOnlyWhatChanged(t *testing.T) {
+	checkMarkedRepliesAreSmall(t, false)
+}
+
+// TestRequestProxyRepliesCarryOnlyWhatChanged is the DII path.
+func TestRequestProxyRepliesCarryOnlyWhatChanged(t *testing.T) {
+	checkMarkedRepliesAreSmall(t, true)
 }

@@ -11,6 +11,8 @@ package ft
 
 import (
 	"context"
+	"encoding/binary"
+	"math/rand/v2"
 	"sync"
 
 	"repro/internal/cdr"
@@ -31,7 +33,9 @@ const (
 // Checkpointable is the state contract a service implementation provides
 // so its servant can be wrapped: serialize the internal state, and replace
 // it from a serialized blob (the paper's "method to create a checkpoint
-// for restarting the service").
+// for restarting the service"). Checkpoint must return a slice the caller
+// may keep: the Wrapper retains the last one as the base of the next
+// delta, so it must not be a buffer the servant writes to again.
 type Checkpointable interface {
 	Checkpoint() ([]byte, error)
 	Restore(data []byte) error
@@ -45,22 +49,25 @@ const ExCheckpointFailed = "IDL:repro/FT/CheckpointFailed:1.0"
 // operations pass through to Inner; when the request carries the
 // giop.SCCheckpoint mark — a proxy sets it on the call after which a
 // checkpoint is due — and Inner succeeded, the wrapper captures State and
-// sends it back on the same reply, stamped with a capture sequence number,
-// so a checkpointed call costs the caller no fetch of its own. A request
-// without the mark (a plain stub's) never reaches State. OpCheckpoint and
-// OpRestore go to State directly: they are how Proxy.Migrate reads a live
-// server and how recovery installs a stored state. Inner and State are
+// sends it back on the same reply: only what changed since the capture the
+// mark names when that is the one it retained (one state per servant), the
+// full state otherwise. A request without the mark (a plain stub's) never
+// reaches State. OpCheckpoint and OpRestore go to State directly: they are
+// how Proxy.Migrate reads a live server and how recovery installs a stored
+// state; a restore drops the retained capture. Inner and State are
 // typically the same object.
 type Wrapper struct {
 	Inner orb.Servant
 	State Checkpointable
 
-	// mu makes capture order and sequence order the same thing: the
-	// sequence number is taken under the lock that spans Checkpoint(), so
-	// of two snapshots the one with the higher number holds every effect
-	// the other does.
-	mu  sync.Mutex
-	seq uint64
+	// mu makes capture order and sequence order the same thing: of two
+	// captures the higher-numbered holds every effect the other does. A
+	// capture is named by (inc, seq), inc drawn at random once per Wrapper,
+	// so a servant restarted behind the same reference names its own afresh.
+	mu   sync.Mutex
+	inc  uint64
+	seq  uint64
+	last []byte // the state captured at seq; nil after a restore
 }
 
 // Wrap builds a Wrapper for a servant that implements both orb.Servant and
@@ -90,7 +97,11 @@ func (w *Wrapper) Invoke(ctx *orb.ServerContext, op string, in *cdr.Decoder, out
 		if err := in.Err(); err != nil {
 			return &orb.SystemException{Kind: orb.ExMarshal, Detail: err.Error()}
 		}
-		if err := w.State.Restore(data); err != nil {
+		w.mu.Lock()
+		w.last = nil
+		err := w.State.Restore(data)
+		w.mu.Unlock()
+		if err != nil {
 			return &orb.UserException{RepoID: ExCheckpointFailed, Detail: err.Error()}
 		}
 		return nil
@@ -99,26 +110,101 @@ func (w *Wrapper) Invoke(ctx *orb.ServerContext, op string, in *cdr.Decoder, out
 		return err
 	}
 	if ctx.Request.HasContext(giop.SCCheckpoint) {
-		w.attachState(ctx)
+		w.attachState(ctx, ctx.Request.Context(giop.SCCheckpoint))
 	}
 	return nil
 }
 
-// attachState captures the state the operation just produced and attaches
-// it to the reply. A servant that cannot serialize itself still answers
-// the business call: the reply simply goes without the context, which the
+// attachState attaches to the reply the state the operation produced: a
+// delta against the retained capture when the mark names it and the delta
+// is shorter, else the full state. A servant that cannot serialize itself
+// still answers the call; the reply goes without the context, which the
 // proxy counts as a failed checkpoint.
-func (w *Wrapper) attachState(ctx *orb.ServerContext) {
+func (w *Wrapper) attachState(ctx *orb.ServerContext, mark []byte) {
+	named := decodeMark(mark)
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	data, err := w.State.Checkpoint()
-	if err == nil {
-		w.seq++
+	if err != nil {
+		return
 	}
-	seq := w.seq
-	w.mu.Unlock()
-	if err == nil {
-		ctx.AddReplyContext(giop.SCCheckpoint, giop.EncodeCheckpoint(seq, data))
+	for w.inc == 0 {
+		w.inc = rand.Uint64()
 	}
+	retained := captureID{w.inc, w.seq}
+	w.seq++
+	var scratch [16]deltaSeg
+	var segs []deltaSeg
+	base, size := uint64(0), len(data)
+	if named == retained && w.last != nil {
+		if s, n := diffSegments(scratch[:0], w.last, data, len(data)); n < len(data) {
+			segs, base, size = s, retained.seq, n
+		}
+	}
+	e := cdr.NewEncoder(ckptHeaderLen + size)
+	putReplyHeader(e, captureID{w.inc, w.seq}, base)
+	if base != 0 {
+		writeDelta(e, len(w.last), data, segs)
+	} else {
+		e.PutRaw(data)
+	}
+	w.last = data
+	ctx.AddReplyContext(giop.SCCheckpoint, e.Bytes())
+}
+
+// The SCCheckpoint service context, both ways, big-endian without CDR
+// framing. A marked request carries the id of the caller's acked delta
+// base, u64 incarnation + u64 seq, or nothing when it knows of none. The
+// reply carries the capture the operation produced: its id, u64 base, and
+// the body — the full state when base is 0, else a delta (see
+// ComputeDelta) against capture base of the same incarnation.
+const (
+	markLen       = 16
+	ckptHeaderLen = 24
+)
+
+// captureID names one capture: the capturing Wrapper's incarnation (never
+// 0) and the sequence number it gave the capture.
+type captureID struct{ inc, seq uint64 }
+
+func readID(b []byte) captureID {
+	return captureID{binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])}
+}
+
+// putMark writes id into dst as a request mark and returns it; the zero id
+// is no mark data at all.
+func (id captureID) putMark(dst []byte) []byte {
+	if id.inc == 0 {
+		return nil
+	}
+	binary.BigEndian.PutUint64(dst, id.inc)
+	binary.BigEndian.PutUint64(dst[8:], id.seq)
+	return dst[:markLen]
+}
+
+// decodeMark parses a request mark: the zero id unless it names a capture.
+func decodeMark(data []byte) captureID {
+	if len(data) != markLen {
+		return captureID{}
+	}
+	return readID(data)
+}
+
+// putReplyHeader starts a reply payload for capture id in the empty e.
+func putReplyHeader(e *cdr.Encoder, id captureID, base uint64) {
+	e.PutUint64(id.inc)
+	e.PutUint64(id.seq)
+	e.PutUint64(base)
+}
+
+// decodeReply parses a reply payload; body aliases it. ok is false when it
+// is absent, or its header names no capture or a base not before it.
+func decodeReply(data []byte) (id captureID, base uint64, body []byte, ok bool) {
+	if len(data) < ckptHeaderLen {
+		return id, 0, nil, false
+	}
+	id, base = readID(data), binary.BigEndian.Uint64(data[16:])
+	return id, base, data[ckptHeaderLen:], id.inc != 0 && id.seq != 0 && base < id.seq
 }
 
 // FetchCheckpoint pulls the current state blob from the servant at ref

@@ -12,13 +12,14 @@ import (
 
 // Delta encoding is the one checkpoint encoding: a delta is the list of
 // byte ranges of the new state that differ from the base state, plus the
-// new total length. The proxy puts every checkpoint as a delta against the
-// newest state the store is known to hold whenever the delta is the
-// shorter of the two, and the full state otherwise (Proxy.nextCheckpoint).
-// A call that changes a little of a large state — one element of the bulk
-// workload's 64 KiB vector, some coordinates of a worker's warm start —
-// then ships only what it changed; a state that changed everywhere costs
-// one comparison pass and no allocation, and goes out full.
+// new total length. The servant's Wrapper computes it against the capture
+// the proxy's store holds whenever the delta is the shorter of the two,
+// and the proxy relays it to the store as it arrived (Wrapper.attachState,
+// Proxy.storeSnapshot). A call that changes a little of a large state —
+// one element of the bulk workload's 64 KiB vector, some coordinates of a
+// worker's warm start — then ships only what it changed, on the reply and
+// on the put; a state that changed everywhere costs one comparison pass
+// and no allocation, and goes out full.
 //
 // Wire format (CDR):
 //
@@ -140,7 +141,8 @@ func skipDiff(base, next []byte, i, end int) int {
 }
 
 // writeDelta encodes the delta of next carrying segs, against a base of
-// baseLen bytes, into e, which must be empty.
+// baseLen bytes, into e, whose length must be a multiple of 8 so that the
+// delta decodes from its own first byte.
 func writeDelta(e *cdr.Encoder, baseLen int, next []byte, segs []deltaSeg) {
 	e.PutUint64(uint64(baseLen))
 	e.PutUint64(uint64(len(next)))

@@ -584,3 +584,40 @@ func TestUnackedPutIsNeverADeltaBase(t *testing.T) {
 		t.Fatalf("store holds epoch %d, the servant's state: %v; stats %+v", cp.Epoch, bytes.Equal(cp.Data, live), st)
 	}
 }
+
+// TestSeedDoesNotAliasCallerState: Seed's state becomes the proxy's delta
+// base, and the caller keeps its buffer — the elastic manager seeds every
+// worker from one. A caller that then overwrites the buffer, here with
+// exactly the state the next call produces, must not change what the proxy
+// holds as its base: after each following call the store holds the
+// servant's state, not the seed nor a mix of the two.
+func TestSeedDoesNotAliasCallerState(t *testing.T) {
+	ctx := context.Background()
+	cli, states, refs, _ := serveBenchStates(t, 1)
+	store := NewMemStore()
+	name := naming.NewName("seeded")
+	p, err := NewProxy(ctx, cli, name, &benchResolver{ref: refs[0]}, store, Policy{CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, _ := newBenchState(64).Checkpoint()
+	if err := p.Seed(ctx, buf); err != nil {
+		t.Fatal(err)
+	}
+	next := newBenchState(64)
+	next.vec[5], next.n = 1, 1
+	produced, _ := next.Checkpoint()
+	copy(buf, produced)
+	for i := int64(5); i < 8; i++ {
+		if _, err := bump(p, i); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := store.Get(ctx, name.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live, _ := states[0].Checkpoint(); !bytes.Equal(cp.Data, live) {
+			t.Fatalf("after bump(%d) the store holds a state the servant never had", i)
+		}
+	}
+}

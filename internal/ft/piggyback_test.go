@@ -374,7 +374,7 @@ func TestConcurrentCallersStoreInCaptureOrder(t *testing.T) {
 
 // TestPlainCallDoesNotCaptureState: a request without the mark — any plain
 // stub's — gets no reply context and never reaches Checkpoint(); the same
-// call with the mark gets {1, state}.
+// call with a bare mark gets capture 1, the full state.
 func TestPlainCallDoesNotCaptureState(t *testing.T) {
 	var state *flakyState
 	w := newFTWorldWith(t, ftWorldOpts{wrapA: func(c *counterServant) orb.Servant {
@@ -394,9 +394,9 @@ func TestPlainCallDoesNotCaptureState(t *testing.T) {
 	if err := w.client.CallOpts(ctx, w.refA, "inc", encodeInt64Arg(1), discardInt64Reply, opts); err != nil {
 		t.Fatal(err)
 	}
-	seq, data, ok := giop.DecodeCheckpoint(reply.Data)
-	if !ok || seq != 1 || decodeCounterState(t, data) != 8 || state.captures.Load() != 1 {
-		t.Fatalf("marked call: seq %d ok %v state %v, %d captures", seq, ok, data, state.captures.Load())
+	id, base, body, ok := decodeReply(reply.Data)
+	if !ok || id.seq != 1 || base != 0 || decodeCounterState(t, body) != 8 || state.captures.Load() != 1 {
+		t.Fatalf("marked call: capture %+v, base %d, ok %v, %d captures", id, base, ok, state.captures.Load())
 	}
 	// A business failure is not a state worth capturing.
 	if err := w.client.CallOpts(ctx, w.refA, "fail_user", nil, nil, opts); err == nil {
@@ -405,4 +405,66 @@ func TestPlainCallDoesNotCaptureState(t *testing.T) {
 	if reply.Data != nil || state.captures.Load() != 1 {
 		t.Fatalf("failed call: reply context %v, %d captures", reply.Data, state.captures.Load())
 	}
+}
+
+// FuzzCheckpointContext feeds arbitrary bytes to both SCCheckpoint
+// decoders and, as a marked call's reply, to a proxy whose store and base
+// hold a known capture. Neither decoder may panic, and whatever one accepts
+// re-encodes to the same bytes. The proxy answers every reply with an
+// error, a drop or a put: a delta that fails checkDelta or names another
+// base leaves the proxy's base and the store byte for byte as they were,
+// and one it relays leaves both holding the base with the delta applied.
+func FuzzCheckpointContext(f *testing.F) {
+	base := bytes.Repeat([]byte("0123456789abcdef"), 8)
+	next := bytes.Clone(base)
+	next[40] = 'x'
+	reply := func(id captureID, baseSeq uint64, body []byte) []byte {
+		e := cdr.NewEncoder(0)
+		putReplyHeader(e, id, baseSeq)
+		e.PutRaw(body)
+		return e.Bytes()
+	}
+	f.Add(reply(captureID{7, 2}, 1, ComputeDelta(base, next)))
+	f.Add(reply(captureID{7, 2}, 0, next))
+	f.Add(reply(captureID{7, 2}, 1, hostileDelta(uint64(len(base)), 1<<40)))
+	f.Add(reply(captureID{7, 2}, 1, ComputeDelta(next, base[:100])))
+	f.Add(reply(captureID{7, 1}, 0, next))
+	f.Add(reply(captureID{7, 3}, 2, ComputeDelta(base, next)))
+	f.Add(captureID{7, 1}.putMark(make([]byte, markLen)))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if id := decodeMark(data); id.inc != 0 {
+			if again := id.putMark(make([]byte, markLen)); !bytes.Equal(again, data) {
+				t.Fatalf("mark %+v re-encodes to %x, want %x", id, again, data)
+			}
+		}
+		id, baseSeq, body, ok := decodeReply(data)
+		if ok {
+			if again := reply(id, baseSeq, body); !bytes.Equal(again, data) {
+				t.Fatalf("reply header %+v, base %d re-encodes to %x, want %x", id, baseSeq, again, data)
+			}
+		}
+
+		ctx := context.Background()
+		store := NewMemStore()
+		p := &Proxy{store: store, key: "k"}
+		if err := p.storeSnapshot(ctx, orb.ObjectRef{}, reply(captureID{7, 1}, 0, bytes.Clone(base))); err != nil {
+			t.Fatal(err)
+		}
+		err := p.storeSnapshot(ctx, orb.ObjectRef{}, data)
+		held, gerr := store.Get(ctx, "k")
+		if gerr != nil {
+			t.Fatal(gerr)
+		}
+		want := base
+		if err == nil && held.Epoch == 2 {
+			if want = body; baseSeq != 0 {
+				want, _ = ApplyDelta(base, body)
+			}
+		}
+		if !bytes.Equal(held.Data, want) || !bytes.Equal(p.lastFull, want) {
+			t.Fatalf("reply %x (error %v): store holds %x, proxy base %x; want %x", data, err, held.Data, p.lastFull, want)
+		}
+	})
 }

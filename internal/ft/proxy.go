@@ -1,6 +1,7 @@
 package ft
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -43,8 +44,8 @@ type Policy struct {
 	// call. 1 (the paper's default) checkpoints after each call; 0
 	// disables checkpointing (stateless services). The call after which
 	// one is due carries the giop.SCCheckpoint mark and its reply brings
-	// the state back, so a checkpointed call is two requests: the call and
-	// the store put.
+	// the state — or what changed of it — back, so a checkpointed call is
+	// two requests: the call and the store put.
 	CheckpointEvery int
 	// MaxRecoveries bounds recovery attempts per call (default 3). It maps
 	// onto the call engine's retry budget.
@@ -83,7 +84,7 @@ type Stats struct {
 	Recoveries         uint64 // successful recoveries (re-resolve+restore)
 	Replays            uint64 // calls re-issued after recovery
 	CheckpointBytes    uint64 // payload bytes actually written to the store
-	DeltaCheckpoints   uint64 // checkpoints encoded as deltas
+	DeltaCheckpoints   uint64 // checkpoints stored as the servant's delta, relayed
 }
 
 // RecoveryError reports that a call failed and every recovery attempt was
@@ -123,25 +124,24 @@ type Proxy struct {
 	recoverMu sync.Mutex
 
 	// ckptMu serializes checkpoint production — the capture-order check,
-	// epoch allocation and delta encoding against lastFull. Lock order:
-	// ckptMu before mu, never the reverse.
+	// epoch allocation, the choice between relaying a delta and putting the
+	// full state — and guards the base. Lock order: ckptMu before mu, never
+	// the reverse.
 	ckptMu sync.Mutex
-	// lastFull is the base of the next delta: the newest state the store is
-	// known to hold, at lastEpoch. It moves forward only, when a put of a
-	// newer epoch is acked or a Get returns a newer state — never when a
-	// checkpoint is merely produced, since its put may yet come back stale
-	// (another writer got that epoch) and a delta against it would then
-	// patch that writer's state.
+	// lastFull is the delta base: the newest state the store is known to
+	// hold, at lastEpoch, in a buffer the proxy owns outright. baseID names
+	// the capture it is (zero if none), which a marked request carries. It
+	// moves forward only, when a put is acked — an acked delta patches it in
+	// place — or a Get returns a newer state, never when a checkpoint is
+	// produced: its put may yet come back stale (another writer got that
+	// epoch), and a delta against it would then patch that writer's state.
 	lastFull  []byte
 	lastEpoch uint64
-	// snapRef and snapSeq identify the newest snapshot given an epoch: the
-	// servant it came from and that servant's capture sequence number. A
-	// snapshot from the same servant with a lower number is older than
-	// what the store already has and is dropped. Recovery and Migrate
-	// clear snapRef, since the servant behind a reference may be a new one
-	// counting from 1.
-	snapRef orb.ObjectRef
-	snapSeq uint64
+	baseID    captureID
+	// snap names the newest capture given an epoch. A capture of the same
+	// incarnation with a lower number is older than what the store already
+	// has and is dropped; a restarted servant has a new incarnation.
+	snap captureID
 }
 
 // ProxyOption customizes a Proxy.
@@ -186,7 +186,7 @@ func NewProxy(ctx context.Context, o *orb.ORB, name naming.Name, resolver Resolv
 		// delta has a base the store actually holds.
 		if cp, err := p.store.Get(ctx, p.key); err == nil {
 			p.epoch = cp.Epoch
-			p.advanceBase(cp.Epoch, cp.Data)
+			p.advanceBase(Full(cp.Epoch, bytes.Clone(cp.Data)), captureID{})
 		}
 	}
 	return p, nil
@@ -240,25 +240,40 @@ func (p *Proxy) Call(ctx context.Context, op string, writeArgs func(*cdr.Encoder
 		obs.String("op", op), obs.String("name", p.key))
 	c := p.caller()
 	c.Opts.Apply(opts...)
-	// reply is allocated only for a marked call, so an unmarked one — every
+	// mark is allocated only for a marked call, so an unmarked one — every
 	// call of a proxy that never checkpoints — pays nothing for the seam.
-	var reply *giop.ServiceContext
+	var mark *ckptMark
 	if p.checkpointDue() {
 		// The engine re-applies its options on every attempt, so a replay
 		// against the recovered server is marked too.
-		reply = &giop.ServiceContext{ID: giop.SCCheckpoint}
-		c.Opts.RequestContext, c.Opts.ReplyContext = *reply, reply
+		mark = &ckptMark{reply: giop.ServiceContext{ID: giop.SCCheckpoint}}
+		c.Opts.RequestContext = giop.ServiceContext{ID: giop.SCCheckpoint, Data: p.baseMark(mark.base[:])}
+		c.Opts.ReplyContext = &mark.reply
 	}
 	err := c.Invoke(sctx, op, writeArgs, readReply)
 	if err == nil {
 		var snap []byte
-		if reply != nil {
-			snap = reply.Data
+		if mark != nil {
+			snap = mark.reply.Data
 		}
-		err = p.afterSuccess(sctx, c.Ref(), op, reply != nil, snap)
+		err = p.afterSuccess(sctx, c.Ref(), op, mark != nil, snap)
 	}
 	span.EndErr(err)
 	return err
+}
+
+// ckptMark is what a marked call carries, in one allocation: the bytes of
+// its request mark and the reply context the call engine fills in.
+type ckptMark struct {
+	reply giop.ServiceContext
+	base  [markLen]byte
+}
+
+// baseMark writes the request mark — the id of the delta base — into dst.
+func (p *Proxy) baseMark(dst []byte) []byte {
+	p.ckptMu.Lock()
+	defer p.ckptMu.Unlock()
+	return p.baseID.putMark(dst)
 }
 
 // checkpointDue reports whether the call about to be sent is the one
@@ -294,30 +309,47 @@ func (p *Proxy) afterSuccess(ctx context.Context, ref orb.ObjectRef, op string, 
 }
 
 // errNoState is what a marked call's checkpoint fails with when its reply
-// came back bare.
-var errNoState = errors.New("ft: reply carries no checkpoint (servant not wrapped, or it could not serialize its state)")
+// came back bare; errBadDelta when its reply is a delta the proxy cannot
+// apply to its base (the base moved on meanwhile, or the delta is damaged).
+var (
+	errNoState  = errors.New("ft: reply carries no checkpoint (servant not wrapped, or it could not serialize its state)")
+	errBadDelta = errors.New("ft: reply carries a delta that does not apply to the proxy's base")
+)
 
-// storeSnapshot stores the state that came back on a marked call's reply
-// from ref. A snapshot the servant captured before one already stored is
+// storeSnapshot stores the capture that came back on a marked call's reply
+// from ref. A capture the servant took before one already stored is
 // dropped: the stored one holds every effect it does, so nothing is lost
-// and nothing is counted.
+// and nothing is counted. A delta is validated against the base before
+// anything else; it is relayed to the store as it arrived when its base is
+// the store's previous epoch, and otherwise applied to a copy of the base
+// and put full.
 func (p *Proxy) storeSnapshot(ctx context.Context, ref orb.ObjectRef, payload []byte) error {
-	seq, state, ok := giop.DecodeCheckpoint(payload)
+	id, base, body, ok := decodeReply(payload)
 	if !ok {
 		p.checkpointFailed()
 		return errNoState
 	}
 	p.ckptMu.Lock()
-	if ref == p.snapRef && seq <= p.snapSeq {
+	if id.inc == p.snap.inc && id.seq <= p.snap.seq {
 		p.ckptMu.Unlock()
 		return nil
 	}
-	p.snapRef, p.snapSeq = ref, seq
-	cp, buf := p.nextCheckpoint(state)
+	if base != 0 {
+		if _, err := checkDelta(len(p.lastFull), body); err != nil || p.baseID != (captureID{id.inc, base}) {
+			p.ckptMu.Unlock()
+			p.checkpointFailed()
+			return errBadDelta
+		}
+	}
+	p.snap = id
+	cp := Full(p.nextEpoch(), body)
+	if base != 0 && p.lastEpoch+1 == cp.Epoch {
+		cp.Base = p.lastEpoch
+	} else if base != 0 {
+		cp.Data, _ = applyDelta(p.lastFull, body, false) // checked above
+	}
 	p.ckptMu.Unlock()
-	err := p.storePut(ctx, ref, cp, state)
-	buf.Release()
-	if err != nil {
+	if err := p.storePut(ctx, ref, cp, id); err != nil {
 		return err
 	}
 	p.mu.Lock()
@@ -334,50 +366,38 @@ func (p *Proxy) checkpointFailed() {
 	p.mu.Unlock()
 }
 
-// nextCheckpoint gives state the next epoch and its wire form: a delta
-// against lastFull when that is the previous epoch's state and the delta
-// is shorter than state, the full state otherwise. A delta is encoded into
-// a pooled encoder, which the caller releases once the put is done (nil
-// for a full checkpoint). The caller holds ckptMu.
-func (p *Proxy) nextCheckpoint(state []byte) (Checkpoint, *cdr.Encoder) {
+// nextEpoch allocates the next checkpoint epoch.
+func (p *Proxy) nextEpoch() uint64 {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.epoch++
-	epoch := p.epoch
-	p.mu.Unlock()
-	if p.lastEpoch == 0 || p.lastEpoch+1 != epoch {
-		return Full(epoch, state), nil
-	}
-	var scratch [16]deltaSeg
-	segs, size := diffSegments(scratch[:0], p.lastFull, state, len(state))
-	if size >= len(state) {
-		return Full(epoch, state), nil
-	}
-	e := cdr.AcquireEncoder()
-	writeDelta(e, len(p.lastFull), state, segs)
-	p.mu.Lock()
-	p.stats.DeltaCheckpoints++
-	p.mu.Unlock()
-	return Checkpoint{Epoch: epoch, Base: epoch - 1, Data: e.Bytes()}, e
+	return p.epoch
 }
 
-// advanceBase makes state, at epoch, the base of the next delta if it is
-// newer than the current one. The caller knows the store holds it: a put
-// of it was just acked, or a Get returned it.
-func (p *Proxy) advanceBase(epoch uint64, state []byte) {
+// advanceBase makes cp the delta base if it is newer than the current one:
+// an acked delta patches the base in place, and a full checkpoint's Data
+// becomes the base — the caller hands over a buffer nobody else holds. id
+// names the capture cp holds, zero for none. The caller knows the store
+// holds cp: a put of it was just acked, or a Get returned it.
+func (p *Proxy) advanceBase(cp Checkpoint, id captureID) {
 	p.ckptMu.Lock()
-	if epoch > p.lastEpoch {
-		p.lastFull, p.lastEpoch = state, epoch
+	defer p.ckptMu.Unlock()
+	if cp.Epoch <= p.lastEpoch || cp.IsDelta() && cp.Base != p.lastEpoch {
+		return
 	}
-	p.ckptMu.Unlock()
+	if cp.IsDelta() {
+		cp.Data, _ = applyDelta(p.lastFull, cp.Data, true) // checked on receipt against this base
+	}
+	p.lastFull, p.lastEpoch, p.baseID = cp.Data, cp.Epoch, id
 }
 
-// storePut writes cp — the state full, captured from the servant at ref —
-// to the store, synchronously: the call does not return before the store
-// has it. A delta whose base is not what the store holds (replica lag,
-// lost epoch) is re-sent as a full snapshot, which always applies. An
-// acked put advances the delta base. storePut keeps the checkpoint
-// counters.
-func (p *Proxy) storePut(ctx context.Context, ref orb.ObjectRef, cp Checkpoint, full []byte) error {
+// storePut writes cp — capture id of the servant at ref, or no capture
+// for a zero id — to the store, synchronously: the call does not return
+// before the store has it. A delta whose base is not what the store holds
+// (replica lag, lost epoch) is materialized into a fresh buffer and
+// re-sent full, which always applies. An acked put advances the delta
+// base. storePut keeps the checkpoint counters.
+func (p *Proxy) storePut(ctx context.Context, ref orb.ObjectRef, cp Checkpoint, id captureID) error {
 	ctx, span := obs.StartSpan(ctx, "ft.checkpoint",
 		obs.String("name", p.key), obs.String("target", ref.Addr))
 	if span != nil {
@@ -386,12 +406,18 @@ func (p *Proxy) storePut(ctx context.Context, ref orb.ObjectRef, cp Checkpoint, 
 	err := p.store.Put(ctx, p.key, cp)
 	wrote := len(cp.Data)
 	if err != nil && cp.IsDelta() && errors.Is(err, ErrBadBase) {
-		err = p.store.Put(ctx, p.key, Full(cp.Epoch, full))
-		wrote += len(full)
+		p.ckptMu.Lock()
+		full, merr := materialize(cp, p.lastEpoch, p.lastFull, true, false)
+		p.ckptMu.Unlock()
+		if merr == nil {
+			cp = Full(cp.Epoch, full)
+			err = p.store.Put(ctx, p.key, cp)
+			wrote += len(full)
+		}
 	}
 	span.EndErr(err)
 	if err == nil {
-		p.advanceBase(cp.Epoch, full)
+		p.advanceBase(cp, id)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -401,6 +427,9 @@ func (p *Proxy) storePut(ctx context.Context, ref orb.ObjectRef, cp Checkpoint, 
 	}
 	p.stats.Checkpoints++
 	p.stats.CheckpointBytes += uint64(wrote)
+	if cp.IsDelta() {
+		p.stats.DeltaCheckpoints++
+	}
 	return nil
 }
 
@@ -470,12 +499,6 @@ func (p *Proxy) restoreInto(ctx context.Context, ref orb.ObjectRef) error {
 	if p.store == nil {
 		return nil
 	}
-	// The servant about to be restored counts its captures on its own —
-	// from 1 if it is a restarted server behind the same reference — so
-	// the capture-order check starts afresh.
-	p.ckptMu.Lock()
-	p.snapRef = orb.ObjectRef{}
-	p.ckptMu.Unlock()
 	ctx, span := obs.StartSpan(ctx, "ft.restore",
 		obs.String("name", p.key), obs.String("target", ref.Addr))
 	cp, err := p.store.Get(ctx, p.key)
@@ -495,11 +518,10 @@ func (p *Proxy) restoreInto(ctx context.Context, ref orb.ObjectRef) error {
 		span.EndErr(err)
 		return err
 	}
-	// The store holds this snapshot, so the next delta may be based on it.
-	// (If the producer-side epoch ran ahead of the store — failed puts —
-	// the base check in nextCheckpoint falls back to a full snapshot on its
-	// own.)
-	p.advanceBase(cp.Epoch, cp.Data)
+	// The store holds this snapshot, so it becomes the delta base — a copy,
+	// since a quorum store's read-repair may still be sending cp.Data. The
+	// restored servant answers the next mark with its full state.
+	p.advanceBase(Full(cp.Epoch, bytes.Clone(cp.Data)), captureID{})
 	p.mu.Lock()
 	if cp.Epoch > p.epoch {
 		p.epoch = cp.Epoch
@@ -537,12 +559,7 @@ func (p *Proxy) Migrate(ctx context.Context, target orb.ObjectRef) (err error) {
 		p.checkpointFailed()
 		return fmt.Errorf("ft: migrate checkpoint: %w", err)
 	}
-	p.ckptMu.Lock()
-	cp, buf := p.nextCheckpoint(state)
-	p.ckptMu.Unlock()
-	err = p.storePut(ctx, cur, cp, state)
-	buf.Release()
-	if err != nil {
+	if err := p.storePut(ctx, cur, Full(p.nextEpoch(), state), captureID{}); err != nil {
 		return fmt.Errorf("ft: migrate checkpoint: %w", err)
 	}
 	if err := p.restoreInto(ctx, target); err != nil {
@@ -572,10 +589,9 @@ func (p *Proxy) Seed(ctx context.Context, state []byte) (err error) {
 	if p.store == nil {
 		return nil
 	}
-	p.mu.Lock()
-	p.epoch++
-	epoch := p.epoch
-	p.mu.Unlock()
+	epoch := p.nextEpoch()
 	span.SetAttr("epoch", fmt.Sprintf("%d", epoch))
-	return p.storePut(ctx, cur, Full(epoch, state), state)
+	// A copy: the put makes it the proxy's delta base, and the caller may
+	// reuse state (the elastic manager seeds every worker from one buffer).
+	return p.storePut(ctx, cur, Full(epoch, bytes.Clone(state)), captureID{})
 }

@@ -21,8 +21,9 @@ type RequestProxy struct {
 	req   *orb.Request
 	// marked is decided at Send: this is the call after which a checkpoint
 	// is due, so every underlying request — replays too — asks for the
-	// state.
+	// state, with mark naming the proxy's delta base as it was then.
 	marked bool
+	mark   []byte
 	span   *obs.Span // "ft.invoke", opened at NewRequest, closed at GetResponse
 }
 
@@ -52,7 +53,7 @@ func (r *RequestProxy) send(ref orb.ObjectRef) {
 	req := r.proxy.orb.CreateRequest(r.ctx, ref, r.op)
 	req.Args().PutRaw(r.args.Bytes())
 	if r.marked {
-		req.SetRequestContext(giop.SCCheckpoint, nil)
+		req.SetRequestContext(giop.SCCheckpoint, r.mark)
 	}
 	req.Send()
 	r.req = req
@@ -64,7 +65,9 @@ func (r *RequestProxy) Send() {
 	if r.req != nil {
 		return
 	}
-	r.marked = r.proxy.checkpointDue()
+	if r.marked = r.proxy.checkpointDue(); r.marked {
+		r.mark = r.proxy.baseMark(make([]byte, markLen))
+	}
 	r.send(r.proxy.Ref())
 }
 

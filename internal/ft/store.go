@@ -40,7 +40,8 @@ var ErrCorruptCheckpoint = errors.New("ft: corrupt checkpoint")
 // Implementations must be safe for concurrent use.
 type Store interface {
 	// Put stores cp as the checkpoint for key. It must not keep cp.Data
-	// past its return: the proxy encodes deltas into a recycled buffer.
+	// past its return: once the put is acked the proxy makes a full
+	// checkpoint's buffer its delta base and patches it in place.
 	Put(ctx context.Context, key string, cp Checkpoint) error
 	// Get returns the newest checkpoint for key, materialized to a full
 	// snapshot (Base 0).

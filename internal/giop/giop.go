@@ -171,11 +171,10 @@ const (
 	// an overloaded adapter.
 	SCRetryAfter uint32 = 0x52545259 // "RTRY"
 	// SCCheckpoint makes the servant's state ride the business reply. On
-	// a request it is a bare mark (no data): "send your state back with
-	// the answer". On the reply it carries {seq, state} — the state
-	// captured after the operation ran and a per-servant capture sequence
-	// number, so the receiver can tell an older snapshot from a newer one
-	// when replies overtake each other (EncodeCheckpoint/DecodeCheckpoint).
+	// a request it is a mark: "send your state back with the answer",
+	// naming the state the caller already holds. On the reply it carries
+	// the state captured after the operation ran, or a delta against the
+	// named one. Package ft owns both payloads; here it is only an id.
 	SCCheckpoint uint32 = 0x434b5054 // "CKPT"
 )
 
@@ -250,31 +249,6 @@ func DecodeRetryAfter(data []byte) (d time.Duration, ok bool) {
 	return time.Duration(ns), true
 }
 
-// checkpointSeqLen is the fixed prefix of an SCCheckpoint reply payload.
-const checkpointSeqLen = 8
-
-// EncodeCheckpoint renders an SCCheckpoint reply payload: the capture
-// sequence number as 8 big-endian bytes, then the state verbatim. Like
-// SCQoS it skips CDR framing — the state is already an opaque blob and is
-// copied exactly once here.
-func EncodeCheckpoint(seq uint64, state []byte) []byte {
-	data := make([]byte, checkpointSeqLen+len(state))
-	binary.BigEndian.PutUint64(data, seq)
-	copy(data[checkpointSeqLen:], state)
-	return data
-}
-
-// DecodeCheckpoint parses an SCCheckpoint reply payload. ok is false when
-// the context is absent or shorter than its sequence prefix. state aliases
-// data: a context decoded off the wire is already the receiver's own copy,
-// so a 64 KiB state is not copied a second time.
-func DecodeCheckpoint(data []byte) (seq uint64, state []byte, ok bool) {
-	if len(data) < checkpointSeqLen {
-		return 0, nil, false
-	}
-	return binary.BigEndian.Uint64(data), data[checkpointSeqLen:], true
-}
-
 // Message is a fully parsed protocol message. Exactly the fields relevant
 // to its Type are populated.
 type Message struct {
@@ -323,8 +297,8 @@ func (m *Message) Context(id uint32) []byte {
 }
 
 // HasContext reports whether a service context with the given id is
-// present, whatever its data — how a bare mark such as a request's
-// SCCheckpoint is read.
+// present, whatever its data — how a mark that may carry no data, such as
+// a request's SCCheckpoint, is read.
 func (m *Message) HasContext(id uint32) bool {
 	for _, c := range m.Contexts {
 		if c.ID == id {

@@ -112,7 +112,7 @@ func goldenMessages(rng *rand.Rand) []*Message {
 		nil,
 		{{ID: SCCheckpoint}},
 		{{ID: SCTrace, Data: bytes.Repeat([]byte{0xAB}, 25)}, {ID: 0xDEADBEEF, Data: []byte("opaque")},
-			{ID: SCCheckpoint, Data: EncodeCheckpoint(9, bytes.Repeat([]byte{7}, 333))}},
+			{ID: SCCheckpoint, Data: bytes.Repeat([]byte{7}, 341)}},
 	}
 	body := func() []byte {
 		b := make([]byte, []int{0, 1, 7, 8, 100, 1000, 5000}[rng.Intn(7)])

@@ -239,7 +239,7 @@ func FuzzFrameReader(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	ctxs := []ServiceContext{{ID: SCCheckpoint, Data: EncodeCheckpoint(3, []byte("state"))}, {ID: 0xDEADBEEF, Data: []byte("opaque")}}
+	ctxs := []ServiceContext{{ID: SCCheckpoint, Data: []byte("capture-header-24-bytes-state")}, {ID: 0xDEADBEEF, Data: []byte("opaque")}}
 	mixed := []*Message{
 		req(1, "echo", []byte("abcdefgh")),
 		{Type: MsgReply, RequestID: 1, ReplyStatus: ReplyUserException, Contexts: ctxs, Body: bytes.Repeat([]byte{7}, 300)},
