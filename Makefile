@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/ft
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointContext$$' -fuzztime $(FUZZTIME) ./internal/ft
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/naming
 
 ## chaos: the fault-injection soaks — Rosenbrock under worker kills, a
 ## naming partition, checkpoint-path delays and a checkpointd replica

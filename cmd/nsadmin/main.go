@@ -246,8 +246,6 @@ func typeLabel(t naming.BindingType) string {
 		return "context"
 	case naming.BindGroup:
 		return "group"
-	case naming.BindRemote:
-		return "remote"
 	default:
 		return "?"
 	}

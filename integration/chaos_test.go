@@ -112,26 +112,19 @@ func (g *epochGuard) ackedEpoch(key string) uint64 {
 	return g.acked[key]
 }
 
-// resolveUnbinder is the naming surface the exclusive resolver wraps;
-// naming.Client and naming.HAClient both satisfy it.
-type resolveUnbinder interface {
-	Resolve(ctx context.Context, name naming.Name) (orb.ObjectRef, error)
-	UnbindOffer(ctx context.Context, name naming.Name, ref orb.ObjectRef) error
-}
-
 // exclusiveResolver hands each proxy a servant no other proxy holds.
 // Worker servants are stateful (warm starts), so two proxies sharing one
 // would interleave their state histories and diverge from the fault-free
 // trajectory. Resolve cycles the naming service's round-robin selection
 // until an unclaimed offer appears; UnbindOffer releases a dead claim.
 type exclusiveResolver struct {
-	inner resolveUnbinder
+	inner *naming.Client
 
 	mu    sync.Mutex
 	inUse map[orb.ObjectRef]bool
 }
 
-func newExclusiveResolver(inner resolveUnbinder) *exclusiveResolver {
+func newExclusiveResolver(inner *naming.Client) *exclusiveResolver {
 	return &exclusiveResolver{inner: inner, inUse: make(map[orb.ObjectRef]bool)}
 }
 

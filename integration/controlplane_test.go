@@ -1,11 +1,12 @@
 // Control-plane chaos: three replicated nameserver processes, a winnerd
-// system manager, and a Rosenbrock run driven through an HAClient — then
-// the primary nameserver AND winnerd are killed mid-run, a worker dies,
-// and a spare offer's lease expires without renewal. The run must finish
-// with a bitwise-identical optimisation result to the calm run of the
-// same seed, zero client-visible resolve errors, and the failover /
-// degradation / eviction counters visible on /metrics: the control plane
-// heals itself without the computation noticing.
+// system manager, and a Rosenbrock run driven through a replicated
+// naming client (naming.NewHAClient) — then the primary nameserver AND
+// winnerd are killed mid-run, a worker dies, and a spare offer's lease
+// expires without renewal. The run must finish with a bitwise-identical
+// optimisation result to the calm run of the same seed, zero
+// client-visible resolve errors, and the failover / degradation /
+// eviction counters visible on /metrics: the control plane heals itself
+// without the computation noticing.
 package integration
 
 import (
@@ -36,13 +37,13 @@ type cpWorld struct {
 	winnerd *exec.Cmd
 
 	// admin is the control-plane client workers announce through; its
-	// renewers must survive nameserver failover, so it is an HAClient too.
+	// renewers must survive nameserver failover, so it is replicated too.
 	admin   *orb.ORB
-	adminHA *naming.HAClient
+	adminHA *naming.Client
 
 	// client is the manager's plane.
 	client   *orb.ORB
-	ha       *naming.HAClient
+	ha       *naming.Client
 	resolver *exclusiveResolver
 	name     naming.Name
 
@@ -156,7 +157,7 @@ func (w *cpWorld) awaitConvergence() {
 }
 
 // spawnWorker starts a worker on its own ORB and announces it with a
-// renewed lease through the admin HAClient.
+// renewed lease through the admin naming client.
 func (w *cpWorld) spawnWorker() *cpSlot {
 	w.t.Helper()
 	w.counter++
@@ -293,8 +294,8 @@ func TestControlPlaneChaos(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 
-	// Calm reference run: identical topology (replicas, leases, HAClient),
-	// no kills.
+	// Calm reference run: identical topology (replicas, leases,
+	// replicated naming clients), no kills.
 	calm := newCPWorld(t)
 	baseline, calmStats, err := calm.run(ctx, false)
 	if err != nil {

@@ -28,13 +28,13 @@ import (
 // the elastic manager's OfferReleaser, so claims survive proactive moves
 // and are returned at segment teardown.
 type claimingResolver struct {
-	inner resolveUnbinder
+	inner *naming.Client
 
 	mu    sync.Mutex
 	inUse map[orb.ObjectRef]bool
 }
 
-func newClaimingResolver(inner resolveUnbinder) *claimingResolver {
+func newClaimingResolver(inner *naming.Client) *claimingResolver {
 	return &claimingResolver{inner: inner, inUse: make(map[orb.ObjectRef]bool)}
 }
 

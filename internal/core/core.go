@@ -209,12 +209,3 @@ func NewLoadNamingServant(reg *naming.Registry, ranker HostRanker) *naming.Serva
 func NewPlainNamingServant(reg *naming.Registry) *naming.Servant {
 	return naming.NewServant(reg, naming.RoundRobinSelector())
 }
-
-// Resolver is the client-side dependency of the fault-tolerance layer: a
-// way to obtain a (fresh) reference for a service name. naming.Client
-// implements it; tests may substitute local resolvers.
-type Resolver interface {
-	Resolve(ctx context.Context, name naming.Name) (orb.ObjectRef, error)
-}
-
-var _ Resolver = (*naming.Client)(nil)

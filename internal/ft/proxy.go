@@ -250,7 +250,7 @@ func (p *Proxy) Call(ctx context.Context, op string, writeArgs func(*cdr.Encoder
 		c.Opts.RequestContext = giop.ServiceContext{ID: giop.SCCheckpoint, Data: p.baseMark(mark.base[:])}
 		c.Opts.ReplyContext = &mark.reply
 	}
-	err := c.Invoke(sctx, op, writeArgs, readReply)
+	err := c.Call(sctx, op, writeArgs, readReply)
 	if err == nil {
 		var snap []byte
 		if mark != nil {

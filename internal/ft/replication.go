@@ -97,10 +97,10 @@ type replicaOutcome struct {
 	err error
 }
 
-// Invoke multicasts op to every replica and decodes the first successful
+// Call multicasts op to every replica and decodes the first successful
 // reply. Replicas that fail are dropped from the group; the call fails
 // only when every replica failed.
-func (g *ReplicaGroup) Invoke(ctx context.Context, op string, writeArgs func(*cdr.Encoder), readReply func(*cdr.Decoder) error) error {
+func (g *ReplicaGroup) Call(ctx context.Context, op string, writeArgs func(*cdr.Encoder), readReply func(*cdr.Decoder) error) error {
 	req := g.NewRequest(ctx, op)
 	if writeArgs != nil {
 		writeArgs(req.Args())

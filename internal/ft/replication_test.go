@@ -12,7 +12,7 @@ import (
 
 func groupInc(g *ReplicaGroup, by int64) (int64, error) {
 	var v int64
-	err := g.Invoke(context.Background(), "inc",
+	err := g.Call(context.Background(), "inc",
 		func(e *cdr.Encoder) { e.PutInt64(by) },
 		func(d *cdr.Decoder) error { v = d.GetInt64(); return d.Err() })
 	return v, err
@@ -100,7 +100,7 @@ func TestReplicaGroupUserExceptionSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = g.Invoke(context.Background(), "fail_user", nil, nil)
+	err = g.Call(context.Background(), "fail_user", nil, nil)
 	if !orb.IsUserException(err, "IDL:repro/Boom:1.0") {
 		t.Fatalf("err = %v", err)
 	}

@@ -10,18 +10,22 @@ import (
 
 // Client is the typed client stub for the naming service (the generated
 // CosNaming stub analogue). All methods are remote calls, and all of them
-// transparently follow federation: when an operation's name traverses a
-// context mounted from another naming server, the stub re-issues the
-// operation there with the remaining name (bounded hop count).
+// go through one call function (call): on a client built by NewClient
+// that is a single call to the one reference; on a client built by
+// NewHAClient it is the failover loop over the replicas (haclient.go).
+// Either way the call follows LOCATION_FORWARD replies.
 type Client struct {
 	orb  *orb.ORB
 	ref  orb.ObjectRef
 	opts orb.CallOptions
+
+	// replicas is the failover layer; it is empty on a NewClient client.
+	replicas
 }
 
 // NewClient builds a stub for the naming service at ref.
 func NewClient(o *orb.ORB, ref orb.ObjectRef) *Client {
-	return &Client{orb: o, ref: ref}
+	return &Client{orb: o, ref: ref, opts: orb.CallOptions{FollowForwards: true}}
 }
 
 // SetCallOptions sets default per-call options (QoS class, tenant id,
@@ -29,66 +33,58 @@ func NewClient(o *orb.ORB, ref orb.ObjectRef) *Client {
 // setup, before the stub is shared across goroutines.
 func (c *Client) SetCallOptions(opts ...orb.CallOption) {
 	c.opts = orb.NewCallOptions(opts...)
+	c.opts.FollowForwards = true
 }
 
-// Ref returns the service's object reference.
-func (c *Client) Ref() orb.ObjectRef { return c.ref }
-
-// follow issues op against the naming service, hopping to remote naming
-// servers whenever the reply says resolution continues elsewhere.
-// writeArgs renders the operation arguments for the (possibly shortened)
-// target name of the current hop. Federation continuations ride the
-// call engine's redirect path: each hop swaps both the target reference
-// and the remaining name without consuming any retry budget.
-func (c *Client) follow(ctx context.Context, name Name, op string, writeArgs func(e *cdr.Encoder, target Name), readReply func(*cdr.Decoder) error) error {
-	target := name
-	caller := &orb.Caller{
-		ORB:     c.orb,
-		Opts:    c.opts,
-		MaxHops: maxFederationHops,
-		Redirect: func(err error) (orb.ObjectRef, bool) {
-			fref, rest, ok := decodeFederated(err)
-			if ok {
-				target = rest
-			}
-			return fref, ok
-		},
+// Ref returns the service's object reference: on a replicated client,
+// the current primary's.
+func (c *Client) Ref() orb.ObjectRef {
+	if len(c.endpoints) == 0 {
+		return c.ref
 	}
-	caller.SetRef(c.ref)
-	return caller.Invoke(ctx, op,
-		func(e *cdr.Encoder) { writeArgs(e, target) },
-		readReply)
+	return c.endpoints[int(c.primary.Load())%len(c.endpoints)].ref
+}
+
+// call issues op against the naming service.
+func (c *Client) call(ctx context.Context, op string, args func(*cdr.Encoder), reply func(*cdr.Decoder) error) error {
+	if len(c.endpoints) == 0 {
+		return c.orb.CallOpts(ctx, c.ref, op, args, reply, c.opts)
+	}
+	return c.failover(ctx, op, args, reply)
 }
 
 // Bind binds ref under name.
 func (c *Client) Bind(ctx context.Context, name Name, ref orb.ObjectRef) error {
-	return c.follow(ctx, name, opBind, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
+	return c.call(ctx, opBind, func(e *cdr.Encoder) {
+		name.MarshalCDR(e)
 		ref.MarshalCDR(e)
 	}, nil)
 }
 
 // Rebind binds ref under name, replacing an existing object binding.
 func (c *Client) Rebind(ctx context.Context, name Name, ref orb.ObjectRef) error {
-	return c.follow(ctx, name, opRebind, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
+	return c.call(ctx, opRebind, func(e *cdr.Encoder) {
+		name.MarshalCDR(e)
 		ref.MarshalCDR(e)
 	}, nil)
 }
 
 // Unbind removes the binding at name.
 func (c *Client) Unbind(ctx context.Context, name Name) error {
-	return c.follow(ctx, name, opUnbind, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
-	}, nil)
+	return c.call(ctx, opUnbind, name.MarshalCDR, nil)
 }
 
 // Resolve returns the reference bound at name. For group bindings the
 // service's selector (plain or Winner-driven) picks the offer — this is
-// the call whose behaviour the paper changes transparently.
+// the call whose behaviour the paper changes transparently. A replicated
+// client remembers each answer and, with every replica down, serves the
+// last one in degraded mode (see NewHAClient).
 func (c *Client) Resolve(ctx context.Context, name Name) (orb.ObjectRef, error) {
-	ref, _, err := c.ResolveLease(ctx, name)
-	return ref, err
+	ref, ttl, err := c.ResolveLease(ctx, name)
+	if len(c.endpoints) == 0 {
+		return ref, err
+	}
+	return c.degradedResolve(name, ref, ttl, err)
 }
 
 // ResolveLease is Resolve plus the chosen offer's lease TTL (zero for
@@ -98,8 +94,8 @@ func (c *Client) Resolve(ctx context.Context, name Name) (orb.ObjectRef, error) 
 func (c *Client) ResolveLease(ctx context.Context, name Name) (orb.ObjectRef, time.Duration, error) {
 	var ref orb.ObjectRef
 	var ttl time.Duration
-	err := c.follow(ctx, name, opResolve,
-		func(e *cdr.Encoder, target Name) { target.MarshalCDR(e) },
+	err := c.call(ctx, opResolve,
+		name.MarshalCDR,
 		func(d *cdr.Decoder) error {
 			if err := ref.UnmarshalCDR(d); err != nil {
 				return err
@@ -114,25 +110,14 @@ func (c *Client) ResolveLease(ctx context.Context, name Name) (orb.ObjectRef, ti
 
 // BindNewContext creates a sub-context at name.
 func (c *Client) BindNewContext(ctx context.Context, name Name) error {
-	return c.follow(ctx, name, opBindNewContext, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
-	}, nil)
-}
-
-// BindRemoteContext mounts the naming context served at ref under name
-// (federation): operations traversing name continue at that server.
-func (c *Client) BindRemoteContext(ctx context.Context, name Name, ref orb.ObjectRef) error {
-	return c.follow(ctx, name, opBindRemote, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
-		ref.MarshalCDR(e)
-	}, nil)
+	return c.call(ctx, opBindNewContext, name.MarshalCDR, nil)
 }
 
 // List returns the bindings in the context at name (nil for the root).
 func (c *Client) List(ctx context.Context, name Name) ([]Binding, error) {
 	var out []Binding
-	err := c.follow(ctx, name, opList,
-		func(e *cdr.Encoder, target Name) { target.MarshalCDR(e) },
+	err := c.call(ctx, opList,
+		name.MarshalCDR,
 		func(d *cdr.Decoder) error {
 			n := d.GetUint32()
 			if n > 1<<20 {
@@ -163,8 +148,8 @@ func (c *Client) BindOffer(ctx context.Context, name Name, ref orb.ObjectRef, ho
 // sweeper unbinds the offer (see StartLeaseRenewer for the helper that
 // does this automatically).
 func (c *Client) BindOfferLease(ctx context.Context, name Name, ref orb.ObjectRef, host string, ttl time.Duration) error {
-	return c.follow(ctx, name, opBindOffer, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
+	return c.call(ctx, opBindOffer, func(e *cdr.Encoder) {
+		name.MarshalCDR(e)
 		ref.MarshalCDR(e)
 		e.PutString(host)
 		e.PutInt64(int64(ttl))
@@ -176,8 +161,8 @@ func (c *Client) BindOfferLease(ctx context.Context, name Name, ref orb.ObjectRe
 // the NotFound user exception; the server should re-register with
 // BindOfferLease.
 func (c *Client) RenewLease(ctx context.Context, name Name, ref orb.ObjectRef, ttl time.Duration) error {
-	return c.follow(ctx, name, opRenewLease, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
+	return c.call(ctx, opRenewLease, func(e *cdr.Encoder) {
+		name.MarshalCDR(e)
 		ref.MarshalCDR(e)
 		e.PutInt64(int64(ttl))
 	}, nil)
@@ -187,8 +172,8 @@ func (c *Client) RenewLease(ctx context.Context, name Name, ref orb.ObjectRef, t
 // remaining time (operator view; `nsadmin leases`).
 func (c *Client) ListLeases(ctx context.Context, name Name) ([]OfferLease, error) {
 	var out []OfferLease
-	err := c.follow(ctx, name, opListLeases,
-		func(e *cdr.Encoder, target Name) { target.MarshalCDR(e) },
+	err := c.call(ctx, opListLeases,
+		name.MarshalCDR,
 		func(d *cdr.Decoder) error {
 			var err error
 			out, err = getLeases(d)
@@ -205,9 +190,9 @@ func (c *Client) ListLeases(ctx context.Context, name Name) ([]OfferLease, error
 func (c *Client) Watch(ctx context.Context, name Name, callback orb.ObjectRef, sinceEpoch uint64) ([]OfferLease, uint64, error) {
 	var out []OfferLease
 	var epoch uint64
-	err := c.follow(ctx, name, opWatch,
-		func(e *cdr.Encoder, target Name) {
-			target.MarshalCDR(e)
+	err := c.call(ctx, opWatch,
+		func(e *cdr.Encoder) {
+			name.MarshalCDR(e)
 			callback.MarshalCDR(e)
 			e.PutUint64(sinceEpoch)
 		},
@@ -222,8 +207,8 @@ func (c *Client) Watch(ctx context.Context, name Name, callback orb.ObjectRef, s
 
 // Unwatch removes callback's subscription for name.
 func (c *Client) Unwatch(ctx context.Context, name Name, callback orb.ObjectRef) error {
-	return c.follow(ctx, name, opUnwatch, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
+	return c.call(ctx, opUnwatch, func(e *cdr.Encoder) {
+		name.MarshalCDR(e)
 		callback.MarshalCDR(e)
 	}, nil)
 }
@@ -232,8 +217,8 @@ func (c *Client) Unwatch(ctx context.Context, name Name, callback orb.ObjectRef)
 // `nsadmin watches`).
 func (c *Client) ListWatches(ctx context.Context) ([]WatchInfo, error) {
 	var out []WatchInfo
-	err := c.follow(ctx, nil, opListWatches,
-		func(e *cdr.Encoder, _ Name) {},
+	err := c.call(ctx, opListWatches,
+		nil,
 		func(d *cdr.Decoder) error {
 			n := d.GetUint32()
 			if n > 1<<20 {
@@ -256,8 +241,8 @@ func (c *Client) ListWatches(ctx context.Context) ([]WatchInfo, error) {
 // It reports whether the server adopted the snapshot and the server's
 // resulting epoch.
 func (c *Client) SyncState(ctx context.Context, snapshot []byte) (adopted bool, epoch uint64, err error) {
-	err = c.follow(ctx, nil, opSyncState,
-		func(e *cdr.Encoder, _ Name) { e.PutBytes(snapshot) },
+	err = c.call(ctx, opSyncState,
+		func(e *cdr.Encoder) { e.PutBytes(snapshot) },
 		func(d *cdr.Decoder) error {
 			adopted = d.GetBool()
 			epoch = d.GetUint64()
@@ -268,8 +253,8 @@ func (c *Client) SyncState(ctx context.Context, snapshot []byte) (adopted bool, 
 
 // UnbindOffer removes the offer with reference ref from the group at name.
 func (c *Client) UnbindOffer(ctx context.Context, name Name, ref orb.ObjectRef) error {
-	return c.follow(ctx, name, opUnbindOffer, func(e *cdr.Encoder, target Name) {
-		target.MarshalCDR(e)
+	return c.call(ctx, opUnbindOffer, func(e *cdr.Encoder) {
+		name.MarshalCDR(e)
 		ref.MarshalCDR(e)
 	}, nil)
 }
@@ -277,8 +262,8 @@ func (c *Client) UnbindOffer(ctx context.Context, name Name, ref orb.ObjectRef) 
 // ListOffers returns the group bound at name.
 func (c *Client) ListOffers(ctx context.Context, name Name) ([]Offer, error) {
 	var out []Offer
-	err := c.follow(ctx, name, opListOffers,
-		func(e *cdr.Encoder, target Name) { target.MarshalCDR(e) },
+	err := c.call(ctx, opListOffers,
+		name.MarshalCDR,
 		func(d *cdr.Decoder) error {
 			n := d.GetUint32()
 			if n > 1<<20 {

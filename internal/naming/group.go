@@ -26,7 +26,7 @@ import (
 // that keeps the cache from rotting.
 
 // WatchBinder is the client surface the cache subscribes through;
-// naming.Client and HAClient both satisfy it.
+// naming.Client satisfies it, and tests substitute fakes.
 type WatchBinder interface {
 	Watch(ctx context.Context, name Name, callback orb.ObjectRef, sinceEpoch uint64) ([]OfferLease, uint64, error)
 	Unwatch(ctx context.Context, name Name, callback orb.ObjectRef) error
@@ -314,7 +314,7 @@ func (c *GroupCache) ensureSubscribed(ctx context.Context, name Name) error {
 // satellite: thousands of clients that lost the same replica spread
 // their re-watch calls over the jitter window instead of stampeding.
 // Triggers arriving while a resubscription is already pending are
-// collapsed. Wire it to HAClient.SetOnFailover.
+// collapsed. Wire it to Client.SetOnFailover.
 func (c *GroupCache) Resubscribe() {
 	if !c.resubArm.CompareAndSwap(false, true) {
 		return

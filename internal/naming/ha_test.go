@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/orb"
 )
 
@@ -294,5 +295,99 @@ func TestHAClientWritesFailOverToo(t *testing.T) {
 	}
 	if leases, err := ha.ListLeases(ctx, name); err != nil || len(leases) != 1 || leases[0].Offer.LeaseTTL != time.Minute {
 		t.Fatalf("ListLeases = %+v, %v", leases, err)
+	}
+}
+
+// slowReplica starts one naming replica whose replies go out through a
+// chaos listener, so a delay rule holds back the answer, never the
+// caller's own request. It returns a replicated client over that replica
+// with name already resolved once (so the cache holds it).
+func slowReplica(t *testing.T, name Name, target orb.ObjectRef, brk orb.BreakerOptions) (*Client, *faultnet.Chaos) {
+	t.Helper()
+	chaos := faultnet.New(1)
+	so := orb.New(orb.Options{Name: "ns-replica", Listen: chaos.Listen})
+	t.Cleanup(so.Shutdown)
+	a, err := so.NewAdapter("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	nsRef := a.Activate(DefaultKey, NewServant(reg, nil))
+	ha, err := NewHAClient(clientORB(t), []orb.ObjectRef{nsRef}, HAOptions{PerTryTimeout: time.Second, Breaker: brk, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.BindOffer(name, Offer{Ref: target, Host: "h1"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ha.Resolve(context.Background(), name); err != nil || got != target {
+		t.Fatalf("warm resolve = %v, %v", got, err)
+	}
+	return ha, chaos
+}
+
+// resolveWithin resolves name under a deadline shorter than the chaos
+// delay and checks the caller gets the ORB's TIMEOUT, exactly as a
+// NewClient client would.
+func resolveWithin(t *testing.T, ha *Client, chaos *faultnet.Chaos, name Name) {
+	t.Helper()
+	chaos.SetRule(faultnet.Rule{Route: "*", Delay: 300 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, err := ha.Resolve(ctx, name)
+	cancel()
+	if !orb.IsSystemException(err, orb.ExTimeout) {
+		t.Fatalf("resolve past the caller's deadline = %v, want TIMEOUT", err)
+	}
+	if chaos.Counters().Delays == 0 {
+		t.Fatal("the delay rule never fired")
+	}
+}
+
+// TestHAClientCallerDeadlineChargesNoReplica: a Resolve whose own
+// deadline runs out while a live primary is merely slow returns TIMEOUT.
+// The replica is not blamed — its breaker stays closed, no failover is
+// counted — and the cached answer is not served as if the control plane
+// were down.
+func TestHAClientCallerDeadlineChargesNoReplica(t *testing.T) {
+	name := NewName("svc")
+	ha, chaos := slowReplica(t, name, testRef("h1:1", "a"), orb.BreakerOptions{})
+	resolveWithin(t, ha, chaos, name)
+	if st := ha.endpoints[0].breaker.State(); st != orb.BreakerClosed {
+		t.Fatalf("primary breaker = %v, want closed", st)
+	}
+	if s := ha.Stats(); s.Failovers != 0 || s.DegradedServes != 0 {
+		t.Fatalf("caller's deadline charged to the replica: %+v", s)
+	}
+	if ha.Degraded() {
+		t.Fatal("degraded mode with a live primary")
+	}
+}
+
+// TestHAClientCallerDeadlineFreesTheProbe: when the caller's deadline
+// ends the half-open probe of a recovering replica, the probe slot is
+// given back. The next call probes again, reaches the replica and closes
+// the breaker — the replica is not shut out for the client's lifetime.
+func TestHAClientCallerDeadlineFreesTheProbe(t *testing.T) {
+	now := time.Unix(1000, 0)
+	name := NewName("svc")
+	target := testRef("h1:1", "a")
+	ha, chaos := slowReplica(t, name, target, orb.BreakerOptions{Cooldown: time.Second, Clock: func() time.Time { return now }})
+	brk := ha.endpoints[0].breaker
+	brk.Failure() // the replica was down a moment ago
+	now = now.Add(time.Second)
+
+	resolveWithin(t, ha, chaos, name) // the probe, cut short by the caller
+	if st := brk.State(); st != orb.BreakerHalfOpen {
+		t.Fatalf("breaker after abandoned probe = %v, want half-open", st)
+	}
+	chaos.Clear()
+	if got, err := ha.Resolve(context.Background(), name); err != nil || got != target {
+		t.Fatalf("resolve after the abandoned probe = %v, %v", got, err)
+	}
+	if st := brk.State(); st != orb.BreakerClosed {
+		t.Fatalf("breaker after a successful probe = %v, want closed", st)
+	}
+	if s := ha.Stats(); s.DegradedServes != 0 {
+		t.Fatalf("served from the cache with a live replica: %+v", s)
 	}
 }

@@ -9,13 +9,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/obs"
 	"repro/internal/orb"
 )
 
-// HAClient is the replica-aware naming stub: it wraps one naming.Client
-// per nameserver replica behind per-endpoint circuit breakers and fails
-// over on transport-class errors (COMM_FAILURE, timeouts, TRANSIENT,
+// replicas is the replica layer of a Client built by NewHAClient: one
+// endpoint per nameserver replica behind its own circuit breaker, with
+// failover on transport-class errors (COMM_FAILURE, timeouts, TRANSIENT,
 // OBJECT_NOT_EXIST). The first healthy endpoint becomes sticky — all
 // clients configured with the same endpoint ordering converge on the
 // same primary, which keeps writes serialised on one replica while the
@@ -27,11 +28,11 @@ import (
 // recovery loop can then still reach a live server even while the whole
 // control plane restarts.
 //
-// HAClient satisfies the same call surface the ft layer needs from
-// naming.Client (Resolver, Unbinder, OfferLister, LeaseBinder).
-type HAClient struct {
-	endpoints []*haEndpoint
-	opts      HAOptions
+// On a NewClient client the layer is empty: no endpoints, counters that
+// stay zero, and no cache.
+type replicas struct {
+	endpoints []haEndpoint
+	haOpts    HAOptions
 
 	primary atomic.Int64
 	// onFailover, when set, runs (in its own goroutine) every time the
@@ -50,6 +51,9 @@ type HAClient struct {
 	resolveErrors  atomic.Uint64
 }
 
+// haCacheSize bounds the degraded-mode resolve cache (names).
+const haCacheSize = 256
+
 // haCacheEntry is one cached resolve result, aged by the offer's lease.
 type haCacheEntry struct {
 	ref orb.ObjectRef
@@ -59,20 +63,17 @@ type haCacheEntry struct {
 
 // haEndpoint is one replica with its breaker.
 type haEndpoint struct {
-	client  *Client
+	ref     orb.ObjectRef
 	breaker *orb.Breaker
-	addr    string
 }
 
-// HAOptions tune an HAClient.
+// HAOptions tune a client built by NewHAClient.
 type HAOptions struct {
 	// PerTryTimeout bounds one attempt against one endpoint, so a hung
 	// replica costs bounded time before failover (default 2s).
 	PerTryTimeout time.Duration
 	// Breaker configures the per-endpoint circuit breakers.
 	Breaker orb.BreakerOptions
-	// CacheSize bounds the resolve cache (default 256 names).
-	CacheSize int
 	// Logger receives failover/degraded diagnostics (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -99,17 +100,15 @@ type HAStats struct {
 	ResolveErrors uint64
 }
 
-// NewHAClient builds an HA naming stub over the given replica refs (at
-// least one). Order matters: earlier refs are preferred as primary.
-func NewHAClient(o *orb.ORB, refs []orb.ObjectRef, opts HAOptions) (*HAClient, error) {
+// NewHAClient builds a Client over the given replica refs (at least one),
+// with the replica layer under its call function. Order matters: earlier
+// refs are preferred as primary.
+func NewHAClient(o *orb.ORB, refs []orb.ObjectRef, opts HAOptions) (*Client, error) {
 	if len(refs) == 0 {
-		return nil, errors.New("naming: HAClient needs at least one endpoint")
+		return nil, errors.New("naming: NewHAClient needs at least one endpoint")
 	}
 	if opts.PerTryTimeout <= 0 {
 		opts.PerTryTimeout = 2 * time.Second
-	}
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = 256
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
@@ -117,24 +116,22 @@ func NewHAClient(o *orb.ORB, refs []orb.ObjectRef, opts HAOptions) (*HAClient, e
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	h := &HAClient{opts: opts, cache: make(map[string]haCacheEntry)}
+	c := NewClient(o, refs[0])
+	c.haOpts = opts
+	c.cache = make(map[string]haCacheEntry)
 	for _, ref := range refs {
-		h.endpoints = append(h.endpoints, &haEndpoint{
-			client:  NewClient(o, ref),
-			breaker: orb.NewBreaker(opts.Breaker),
-			addr:    ref.Addr,
-		})
+		c.endpoints = append(c.endpoints, haEndpoint{ref: ref, breaker: orb.NewBreaker(opts.Breaker)})
 	}
-	return h, nil
+	return c, nil
 }
 
 // Stats returns the current failover counters.
-func (h *HAClient) Stats() HAStats {
+func (c *Client) Stats() HAStats {
 	return HAStats{
-		Failovers:      h.failovers.Load(),
-		DegradedServes: h.degradedServes.Load(),
-		StaleServes:    h.staleServes.Load(),
-		ResolveErrors:  h.resolveErrors.Load(),
+		Failovers:      c.failovers.Load(),
+		DegradedServes: c.degradedServes.Load(),
+		StaleServes:    c.staleServes.Load(),
+		ResolveErrors:  c.resolveErrors.Load(),
 	}
 }
 
@@ -142,38 +139,36 @@ func (h *HAClient) Stats() HAStats {
 // sticky primary re-pins to a different endpoint, with the new primary's
 // address. Watch subscribers hook this to re-register their watches on
 // the replica that is now answering.
-func (h *HAClient) SetOnFailover(fn func(addr string)) {
-	h.onFailover.Store(fn)
+func (c *Client) SetOnFailover(fn func(addr string)) {
+	c.onFailover.Store(fn)
 }
 
 // Degraded reports whether the last resolve was served from the cache
 // with every replica unreachable.
-func (h *HAClient) Degraded() bool { return h.degraded.Load() }
+func (c *Client) Degraded() bool { return c.degraded.Load() }
 
 // Primary returns the address of the currently preferred endpoint.
-func (h *HAClient) Primary() string {
-	return h.endpoints[int(h.primary.Load())%len(h.endpoints)].addr
-}
+func (c *Client) Primary() string { return c.Ref().Addr }
 
 // ExportMetrics registers the failover counters with an obs registry
 // under the names the acceptance dashboards scrape.
-func (h *HAClient) ExportMetrics(reg *obs.Registry) {
+func (c *Client) ExportMetrics(reg *obs.Registry) {
 	reg.NewCounterFunc("naming_failovers_total",
 		"Nameserver endpoint attempts abandoned for the next replica.",
-		func() uint64 { return h.failovers.Load() })
+		func() uint64 { return c.failovers.Load() })
 	reg.NewCounterFunc("naming_degraded_serves_total",
 		"Resolves served from the client-side cache with all replicas down.",
-		func() uint64 { return h.degradedServes.Load() })
+		func() uint64 { return c.degradedServes.Load() })
 	reg.NewCounterFunc("naming_stale_serves_total",
 		"Degraded serves of cached references older than their lease TTL.",
-		func() uint64 { return h.staleServes.Load() })
+		func() uint64 { return c.staleServes.Load() })
 	reg.NewCounterFunc("naming_resolve_errors_total",
 		"Resolves that failed with no replica reachable and no cached reference.",
-		func() uint64 { return h.resolveErrors.Load() })
+		func() uint64 { return c.resolveErrors.Load() })
 	reg.NewGaugeFunc("naming_degraded",
 		"1 while the naming client is serving cached references in degraded mode.",
 		func() float64 {
-			if h.degraded.Load() {
+			if c.degraded.Load() {
 				return 1
 			}
 			return 0
@@ -183,18 +178,18 @@ func (h *HAClient) ExportMetrics(reg *obs.Registry) {
 // HealthProbe is the naming client's component probe for obs.Health:
 // unhealthy while serving cached references in degraded mode (every
 // replica down), degraded detail while some replica breakers are open.
-func (h *HAClient) HealthProbe() error {
-	if h.degraded.Load() {
+func (c *Client) HealthProbe() error {
+	if c.degraded.Load() {
 		return errors.New("all nameserver replicas down, serving cached references")
 	}
 	open := 0
-	for _, e := range h.endpoints {
+	for _, e := range c.endpoints {
 		if e.breaker.State() == orb.BreakerOpen {
 			open++
 		}
 	}
 	if open > 0 {
-		return fmt.Errorf("%d/%d replica breakers open", open, len(h.endpoints))
+		return fmt.Errorf("%d/%d replica breakers open", open, len(c.endpoints))
 	}
 	return nil
 }
@@ -217,19 +212,17 @@ func failoverErr(err error) bool {
 // is a COMM_FAILURE so upper layers (ft proxies, Caller retry
 // classifiers) treat it exactly like a single dead nameserver.
 func errAllReplicasDown(last error) error {
-	detail := "naming: no replica reachable"
-	if last != nil {
-		detail = fmt.Sprintf("%s (last: %v)", detail, last)
-	}
-	return &orb.SystemException{Kind: orb.ExCommFailure, Detail: detail}
+	return &orb.SystemException{Kind: orb.ExCommFailure, Detail: fmt.Sprintf("naming: no replica reachable (last: %v)", last)}
 }
 
-// do runs f against replicas starting at the sticky primary, failing
-// over on transport errors, honouring breakers, and re-pinning the
-// primary to whichever endpoint answered.
-func (h *HAClient) do(ctx context.Context, op string, f func(ctx context.Context, c *Client) error) error {
-	n := len(h.endpoints)
-	start := int(h.primary.Load()) % n
+// failover issues op against the replicas starting at the sticky primary,
+// failing over on transport errors, honouring breakers, and re-pinning
+// the primary to whichever endpoint answered. When the caller's own ctx
+// ends, the attempt in flight is charged to nobody: its TIMEOUT or
+// CANCELLED is the caller's, not the replica's, and comes back as is.
+func (c *Client) failover(ctx context.Context, op string, args func(*cdr.Encoder), reply func(*cdr.Decoder) error) error {
+	n := len(c.endpoints)
+	start := int(c.primary.Load()) % n
 	var last error
 	tried := 0
 	for i := 0; i < n; i++ {
@@ -240,221 +233,102 @@ func (h *HAClient) do(ctx context.Context, op string, f func(ctx context.Context
 			return ctx.Err()
 		}
 		idx := (start + i) % n
-		ep := h.endpoints[idx]
+		ep := c.endpoints[idx]
 		if !ep.breaker.Allow() {
 			continue
 		}
 		tried++
-		cctx, cancel := context.WithTimeout(ctx, h.opts.PerTryTimeout)
-		err := f(cctx, ep.client)
+		cctx, cancel := context.WithTimeout(ctx, c.haOpts.PerTryTimeout)
+		err := c.orb.CallOpts(cctx, ep.ref, op, args, reply, c.opts)
 		cancel()
+		if err != nil && ctx.Err() != nil {
+			ep.breaker.Abandon()
+			return err
+		}
 		if err == nil || !failoverErr(err) {
 			// Success, or an authoritative answer from a live replica.
 			ep.breaker.Success()
-			if prev := h.primary.Swap(int64(idx)); int(prev)%n != idx {
-				if fn, ok := h.onFailover.Load().(func(addr string)); ok && fn != nil {
-					go fn(ep.addr)
+			if prev := c.primary.Swap(int64(idx)); int(prev)%n != idx {
+				if fn, ok := c.onFailover.Load().(func(addr string)); ok && fn != nil {
+					go fn(ep.ref.Addr)
 				}
 			}
-			if h.degraded.CompareAndSwap(true, false) {
-				h.opts.Logger.Info("naming: control plane reachable again, leaving degraded mode", "endpoint", ep.addr)
+			if c.degraded.CompareAndSwap(true, false) {
+				c.haOpts.Logger.Info("naming: control plane reachable again, leaving degraded mode", "endpoint", ep.ref.Addr)
 			}
 			return err
 		}
 		ep.breaker.Failure()
-		h.failovers.Add(1)
-		h.opts.Logger.Warn("naming: endpoint failed, trying next replica",
-			"op", op, "endpoint", ep.addr, "err", err)
+		c.failovers.Add(1)
+		c.haOpts.Logger.Warn("naming: endpoint failed, trying next replica",
+			"op", op, "endpoint", ep.ref.Addr, "err", err)
 		last = err
 	}
-	if tried == 0 && last == nil {
+	if tried == 0 {
 		// Every breaker is open and no cooldown has elapsed: same outcome
 		// as all replicas refusing, without paying connect timeouts.
-		return errAllReplicasDown(errors.New("all endpoint breakers open"))
+		last = errors.New("all endpoint breakers open")
 	}
 	return errAllReplicasDown(last)
 }
 
-// Resolve resolves name through the first healthy replica; with all
-// replicas down it falls back to the last-known reference in degraded
-// mode. Successful resolves refresh the cache.
-func (h *HAClient) Resolve(ctx context.Context, name Name) (orb.ObjectRef, error) {
-	var ref orb.ObjectRef
-	var ttl time.Duration
-	err := h.do(ctx, opResolve, func(ctx context.Context, c *Client) error {
-		var e error
-		ref, ttl, e = c.ResolveLease(ctx, name)
-		return e
-	})
+// degradedResolve finishes a replicated client's Resolve: an answer
+// refreshes the cache; with all replicas down (failover's COMM_FAILURE)
+// the last-known reference is served in degraded mode.
+func (c *Client) degradedResolve(name Name, ref orb.ObjectRef, ttl time.Duration, err error) (orb.ObjectRef, error) {
 	if err == nil {
-		h.cachePut(name, ref, ttl)
+		c.cachePut(name, ref, ttl)
 		return ref, nil
 	}
-	if failoverErr(err) {
-		if cached, stale, ok := h.cacheGet(name); ok {
-			h.degradedServes.Add(1)
-			if stale {
-				// The entry outlived the lease TTL it was cached with: the
-				// server behind it may have lost its registration since.
-				// Serve it anyway — it is the only lead we have with the
-				// whole control plane down — but flag it.
-				h.staleServes.Add(1)
-				h.opts.Logger.Warn("naming: serving cached reference past its lease TTL",
-					"name", name.String(), "addr", cached.Addr)
-			}
-			if h.degraded.CompareAndSwap(false, true) {
-				h.opts.Logger.Warn("naming: all replicas down, serving cached references (degraded mode)")
-			}
-			return cached, nil
-		}
-		h.resolveErrors.Add(1)
+	if !orb.IsCommFailure(err) {
+		// An authoritative answer, or the caller's own context ending.
+		return orb.ObjectRef{}, err
 	}
-	return orb.ObjectRef{}, err
+	cached, stale, ok := c.cacheGet(name)
+	if !ok {
+		c.resolveErrors.Add(1)
+		return orb.ObjectRef{}, err
+	}
+	c.degradedServes.Add(1)
+	if stale {
+		// The entry outlived the lease TTL it was cached with: the
+		// server behind it may have lost its registration since.
+		// Serve it anyway — it is the only lead we have with the
+		// whole control plane down — but flag it.
+		c.staleServes.Add(1)
+		c.haOpts.Logger.Warn("naming: serving cached reference past its lease TTL",
+			"name", name.String(), "addr", cached.Addr)
+	}
+	if c.degraded.CompareAndSwap(false, true) {
+		c.haOpts.Logger.Warn("naming: all replicas down, serving cached references (degraded mode)")
+	}
+	return cached, nil
 }
 
-func (h *HAClient) cachePut(name Name, ref orb.ObjectRef, ttl time.Duration) {
+func (c *Client) cachePut(name Name, ref orb.ObjectRef, ttl time.Duration) {
 	k := name.String()
-	h.cacheMu.Lock()
-	defer h.cacheMu.Unlock()
-	if _, ok := h.cache[k]; !ok {
-		h.cacheFF = append(h.cacheFF, k)
-		for len(h.cacheFF) > h.opts.CacheSize {
-			delete(h.cache, h.cacheFF[0])
-			h.cacheFF = h.cacheFF[1:]
+	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
+	if _, ok := c.cache[k]; !ok {
+		c.cacheFF = append(c.cacheFF, k)
+		for len(c.cacheFF) > haCacheSize {
+			delete(c.cache, c.cacheFF[0])
+			c.cacheFF = c.cacheFF[1:]
 		}
 	}
-	h.cache[k] = haCacheEntry{ref: ref, ttl: ttl, at: h.opts.Clock()}
+	c.cache[k] = haCacheEntry{ref: ref, ttl: ttl, at: c.haOpts.Clock()}
 }
 
 // cacheGet returns the cached reference for name and whether it has
 // outlived the lease TTL it was resolved with (leaseless entries never
 // go stale).
-func (h *HAClient) cacheGet(name Name) (ref orb.ObjectRef, stale, ok bool) {
-	h.cacheMu.Lock()
-	defer h.cacheMu.Unlock()
-	ent, ok := h.cache[name.String()]
+func (c *Client) cacheGet(name Name) (ref orb.ObjectRef, stale, ok bool) {
+	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
+	ent, ok := c.cache[name.String()]
 	if !ok {
 		return orb.ObjectRef{}, false, false
 	}
-	stale = ent.ttl > 0 && h.opts.Clock().After(ent.at.Add(ent.ttl))
+	stale = ent.ttl > 0 && c.haOpts.Clock().After(ent.at.Add(ent.ttl))
 	return ent.ref, stale, true
 }
-
-// The remaining operations are thin failover wrappers around the
-// corresponding naming.Client calls.
-
-// Bind binds ref under name.
-func (h *HAClient) Bind(ctx context.Context, name Name, ref orb.ObjectRef) error {
-	return h.do(ctx, opBind, func(ctx context.Context, c *Client) error { return c.Bind(ctx, name, ref) })
-}
-
-// Rebind binds ref under name, replacing an existing object binding.
-func (h *HAClient) Rebind(ctx context.Context, name Name, ref orb.ObjectRef) error {
-	return h.do(ctx, opRebind, func(ctx context.Context, c *Client) error { return c.Rebind(ctx, name, ref) })
-}
-
-// Unbind removes the binding at name.
-func (h *HAClient) Unbind(ctx context.Context, name Name) error {
-	return h.do(ctx, opUnbind, func(ctx context.Context, c *Client) error { return c.Unbind(ctx, name) })
-}
-
-// BindNewContext creates a sub-context at name.
-func (h *HAClient) BindNewContext(ctx context.Context, name Name) error {
-	return h.do(ctx, opBindNewContext, func(ctx context.Context, c *Client) error { return c.BindNewContext(ctx, name) })
-}
-
-// List returns the bindings in the context at name.
-func (h *HAClient) List(ctx context.Context, name Name) ([]Binding, error) {
-	var out []Binding
-	err := h.do(ctx, opList, func(ctx context.Context, c *Client) error {
-		var e error
-		out, e = c.List(ctx, name)
-		return e
-	})
-	return out, err
-}
-
-// BindOffer adds a leaseless (ref, host) offer to the group at name.
-func (h *HAClient) BindOffer(ctx context.Context, name Name, ref orb.ObjectRef, host string) error {
-	return h.BindOfferLease(ctx, name, ref, host, 0)
-}
-
-// BindOfferLease adds an offer with a lease TTL (see Client.BindOfferLease).
-func (h *HAClient) BindOfferLease(ctx context.Context, name Name, ref orb.ObjectRef, host string, ttl time.Duration) error {
-	return h.do(ctx, opBindOffer, func(ctx context.Context, c *Client) error {
-		return c.BindOfferLease(ctx, name, ref, host, ttl)
-	})
-}
-
-// RenewLease extends the lease on the offer with reference ref at name.
-func (h *HAClient) RenewLease(ctx context.Context, name Name, ref orb.ObjectRef, ttl time.Duration) error {
-	return h.do(ctx, opRenewLease, func(ctx context.Context, c *Client) error {
-		return c.RenewLease(ctx, name, ref, ttl)
-	})
-}
-
-// UnbindOffer removes the offer with reference ref from the group at name.
-func (h *HAClient) UnbindOffer(ctx context.Context, name Name, ref orb.ObjectRef) error {
-	return h.do(ctx, opUnbindOffer, func(ctx context.Context, c *Client) error {
-		return c.UnbindOffer(ctx, name, ref)
-	})
-}
-
-// ListOffers returns the group bound at name.
-func (h *HAClient) ListOffers(ctx context.Context, name Name) ([]Offer, error) {
-	var out []Offer
-	err := h.do(ctx, opListOffers, func(ctx context.Context, c *Client) error {
-		var e error
-		out, e = c.ListOffers(ctx, name)
-		return e
-	})
-	return out, err
-}
-
-// ListLeases returns the offers at name with their remaining lease time.
-func (h *HAClient) ListLeases(ctx context.Context, name Name) ([]OfferLease, error) {
-	var out []OfferLease
-	err := h.do(ctx, opListLeases, func(ctx context.Context, c *Client) error {
-		var e error
-		out, e = c.ListLeases(ctx, name)
-		return e
-	})
-	return out, err
-}
-
-// Watch registers callback for membership pushes about name on the first
-// healthy replica (see Client.Watch). Combine with SetOnFailover to
-// re-register when the primary changes: a watch lives on exactly one
-// replica, so after failover the new primary must learn it again.
-func (h *HAClient) Watch(ctx context.Context, name Name, callback orb.ObjectRef, sinceEpoch uint64) ([]OfferLease, uint64, error) {
-	var out []OfferLease
-	var epoch uint64
-	err := h.do(ctx, opWatch, func(ctx context.Context, c *Client) error {
-		var e error
-		out, epoch, e = c.Watch(ctx, name, callback, sinceEpoch)
-		return e
-	})
-	return out, epoch, err
-}
-
-// Unwatch removes callback's subscription for name.
-func (h *HAClient) Unwatch(ctx context.Context, name Name, callback orb.ObjectRef) error {
-	return h.do(ctx, opUnwatch, func(ctx context.Context, c *Client) error {
-		return c.Unwatch(ctx, name, callback)
-	})
-}
-
-// ListWatches returns the primary replica's watch table.
-func (h *HAClient) ListWatches(ctx context.Context) ([]WatchInfo, error) {
-	var out []WatchInfo
-	err := h.do(ctx, opListWatches, func(ctx context.Context, c *Client) error {
-		var e error
-		out, e = c.ListWatches(ctx)
-		return e
-	})
-	return out, err
-}
-
-var _ LeaseBinder = (*HAClient)(nil)
-var _ WatchBinder = (*HAClient)(nil)
-var _ WatchBinder = (*Client)(nil)

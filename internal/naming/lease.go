@@ -105,18 +105,11 @@ func (s *Sweeper) Stop() {
 	}
 }
 
-// LeaseBinder is the client-side surface a lease renewer needs:
-// naming.Client and HAClient both satisfy it.
-type LeaseBinder interface {
-	BindOfferLease(ctx context.Context, name Name, ref orb.ObjectRef, host string, ttl time.Duration) error
-	RenewLease(ctx context.Context, name Name, ref orb.ObjectRef, ttl time.Duration) error
-}
-
 // LeaseRenewer keeps one offer's lease alive: it renews at TTL/3 (so two
 // renewals can be lost before the lease lapses) and re-registers the
 // offer when the registry reports it evicted (NotFound).
 type LeaseRenewer struct {
-	ns   LeaseBinder
+	ns   *Client
 	name Name
 	ref  orb.ObjectRef
 	host string
@@ -130,8 +123,9 @@ type LeaseRenewer struct {
 }
 
 // StartLeaseRenewer launches the renewal loop for an offer already bound
-// with BindOfferLease(..., ttl).
-func StartLeaseRenewer(ns LeaseBinder, name Name, ref orb.ObjectRef, host string, ttl time.Duration) *LeaseRenewer {
+// with BindOfferLease(..., ttl). ns may be replicated (NewHAClient), so the
+// lease survives nameserver failover.
+func StartLeaseRenewer(ns *Client, name Name, ref orb.ObjectRef, host string, ttl time.Duration) *LeaseRenewer {
 	r := &LeaseRenewer{
 		ns: ns, name: name, ref: ref, host: host, ttl: ttl,
 		stop: make(chan struct{}), done: make(chan struct{}),

@@ -52,8 +52,6 @@ func snapshotContext(e *cdr.Encoder, node *contextNode) {
 		switch ent.typ {
 		case BindObject:
 			ent.ref.MarshalCDR(e)
-		case BindRemote:
-			ent.remote.MarshalCDR(e)
 		case BindContext:
 			snapshotContext(e, ent.ctx)
 		case BindGroup:
@@ -157,10 +155,6 @@ func restoreContext(d *cdr.Decoder, depth int, version uint32) (*contextNode, er
 		switch typ {
 		case BindObject:
 			if err := ent.ref.UnmarshalCDR(d); err != nil {
-				return nil, corruptf("%v", err)
-			}
-		case BindRemote:
-			if err := ent.remote.UnmarshalCDR(d); err != nil {
 				return nil, corruptf("%v", err)
 			}
 		case BindContext:

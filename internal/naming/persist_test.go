@@ -1,15 +1,18 @@
 package naming
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cdr"
 	"repro/internal/orb"
 )
 
-func populatedRegistry(t *testing.T) *Registry {
+func populatedRegistry(t testing.TB) *Registry {
 	t.Helper()
 	r := NewRegistry()
 	if err := r.Bind(NewName("calc"), ref(1)); err != nil {
@@ -201,4 +204,79 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// snapshotV1 is a hand-built v1 snapshot: no epoch header, offers
+// without lease metadata.
+func snapshotV1() []byte {
+	return cdr.Encapsulate(func(e *cdr.Encoder) {
+		e.PutUint32(1)
+		e.PutUint32(2)
+		e.PutString("calc")
+		e.PutString("")
+		e.PutUint32(uint32(BindObject))
+		ref(1).MarshalCDR(e)
+		e.PutString("workers")
+		e.PutString("")
+		e.PutUint32(uint32(BindGroup))
+		e.PutUint32(1)
+		ref(2).MarshalCDR(e)
+		e.PutString("h1")
+	})
+}
+
+// snapshotRemoteMount is a v2 snapshot holding a binding of type 3, the
+// remote-context mount older servers could write.
+func snapshotRemoteMount() []byte {
+	return cdr.Encapsulate(func(e *cdr.Encoder) {
+		e.PutUint32(2)
+		e.PutUint64(7)
+		e.PutUint32(1)
+		e.PutString("remote")
+		e.PutString("")
+		e.PutUint32(3)
+		ref(1).MarshalCDR(e)
+	})
+}
+
+// TestSnapshotRefusesRemoteMount: a snapshot holding a remote-context
+// mount is refused as corrupt, not loaded with the mount silently gone,
+// while a v1 snapshot still loads.
+func TestSnapshotRefusesRemoteMount(t *testing.T) {
+	r := NewRegistry()
+	if err := r.RestoreSnapshot(snapshotV1()); err != nil {
+		t.Fatalf("v1 restore: %v", err)
+	}
+	if got, err := r.ResolveObject(NewName("calc")); err != nil || got != ref(1) {
+		t.Fatalf("v1 calc = %v, %v", got, err)
+	}
+	if err := r.RestoreSnapshot(snapshotRemoteMount()); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("restore = %v, want ErrCorruptSnapshot", err)
+	}
+	if _, err := r.AdoptSnapshot(snapshotRemoteMount()); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("adopt = %v, want ErrCorruptSnapshot", err)
+	}
+}
+
+// FuzzSnapshot: decoding a snapshot never panics, and what decodes
+// re-encodes to a snapshot that decodes to the same tree and epoch.
+func FuzzSnapshot(f *testing.F) {
+	f.Add(snapshotV1())
+	f.Add(populatedRegistry(f).Snapshot())
+	f.Add(snapshotRemoteMount())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		root, epoch, err := decodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		r := NewRegistry()
+		r.root, r.epoch = root, epoch
+		root2, epoch2, err := decodeSnapshot(r.Snapshot())
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if epoch2 != epoch || !reflect.DeepEqual(root2, root) {
+			t.Fatalf("decode → Snapshot → decode changed the registry (epoch %d → %d)", epoch, epoch2)
+		}
+	})
 }

@@ -16,7 +16,6 @@ const (
 	BindObject  BindingType = iota // a single object reference
 	BindContext                    // a sub-context
 	BindGroup                      // a group of offers (load-distribution extension)
-	BindRemote                     // a context served by another naming server (federation)
 )
 
 // Offer is one member of a group binding: an object reference plus the
@@ -68,14 +67,13 @@ func errInvalidName(reason string) error {
 	return &orb.UserException{RepoID: ExInvalidName, Detail: reason}
 }
 
-// entry is one slot in a context: exactly one of ref/ctx/group/remote is
-// set according to typ.
+// entry is one slot in a context: exactly one of ref/ctx/group is set
+// according to typ.
 type entry struct {
-	typ    BindingType
-	ref    orb.ObjectRef
-	ctx    *contextNode
-	group  []Offer
-	remote orb.ObjectRef
+	typ   BindingType
+	ref   orb.ObjectRef
+	ctx   *contextNode
+	group []Offer
 }
 
 // contextNode is one naming context in the tree.
@@ -193,15 +191,10 @@ func (r *Registry) walk(n Name) (*contextNode, Component, error) {
 		if !ok {
 			return nil, Component{}, errNotFound(n[:i+1])
 		}
-		switch e.typ {
-		case BindContext:
-			node = e.ctx
-		case BindRemote:
-			// Resolution continues at another naming server.
-			return nil, Component{}, remoteSignal(e, n, i+1)
-		default:
+		if e.typ != BindContext {
 			return nil, Component{}, errNotContext(n[:i+1])
 		}
+		node = e.ctx
 	}
 	return node, n[len(n)-1], nil
 }
@@ -307,16 +300,10 @@ func (r *Registry) ResolveObject(n Name) (orb.ObjectRef, error) {
 	if !ok {
 		return orb.ObjectRef{}, errNotFound(n)
 	}
-	switch e.typ {
-	case BindObject:
-		return e.ref, nil
-	case BindRemote:
-		// Resolving the mount point itself yields the remote context's
-		// own reference (CosNaming semantics: contexts are objects).
-		return e.remote, nil
-	default:
+	if e.typ != BindObject {
 		return orb.ObjectRef{}, errNotContext(n)
 	}
+	return e.ref, nil
 }
 
 // BindOffer adds an offer to the group binding at n, creating the group if
@@ -502,8 +489,6 @@ func (r *Registry) Offers(n Name) ([]Offer, error) {
 	switch e.typ {
 	case BindObject:
 		return []Offer{{Ref: e.ref}}, nil
-	case BindRemote:
-		return []Offer{{Ref: e.remote}}, nil
 	case BindGroup:
 		out := make([]Offer, len(e.group))
 		copy(out, e.group)
@@ -596,8 +581,6 @@ func (r *Registry) WatchView(n Name) ([]OfferLease, uint64) {
 	switch e.typ {
 	case BindObject:
 		out = []OfferLease{{Offer: Offer{Ref: e.ref}}}
-	case BindRemote:
-		out = []OfferLease{{Offer: Offer{Ref: e.remote}}}
 	case BindGroup:
 		for _, o := range e.group {
 			if o.expired(now) {
@@ -628,15 +611,10 @@ func (r *Registry) List(n Name) ([]Binding, error) {
 		if !ok {
 			return nil, errNotFound(n)
 		}
-		switch e.typ {
-		case BindContext:
-			node = e.ctx
-		case BindRemote:
-			// Listing a mount point lists the remote server's root.
-			return nil, remoteSignal(e, n, len(n))
-		default:
+		if e.typ != BindContext {
 			return nil, errNotContext(n)
 		}
+		node = e.ctx
 	}
 	out := make([]Binding, 0, len(node.entries))
 	for k, e := range node.entries {

@@ -17,7 +17,7 @@ import (
 // snapshot (stamped with the monotonic epoch) to its peers via the
 // sync_state operation; receivers adopt only strictly newer state
 // (Registry.AdoptSnapshot). With clients pinned to a common primary
-// ordering (HAClient), writes serialise on one replica and the others
+// ordering (NewHAClient), writes serialise on one replica and the others
 // trail by at most one sync period — the classic primary-copy CosNaming
 // deployment, with last-writer-wins convergence after partitions.
 

@@ -105,7 +105,6 @@ const (
 	opBindOffer      = "bind_offer"
 	opUnbindOffer    = "unbind_offer"
 	opListOffers     = "list_offers"
-	opBindRemote     = "bind_remote_context"
 	opRenewLease     = "renew_lease"
 	opListLeases     = "list_leases"
 	opSyncState      = "sync_state"
@@ -124,16 +123,16 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 			return &orb.SystemException{Kind: orb.ExMarshal, Detail: err.Error()}
 		}
 		if op == opBind {
-			return wireErr(s.reg.Bind(name, ref))
+			return s.reg.Bind(name, ref)
 		}
-		return wireErr(s.reg.Rebind(name, ref))
+		return s.reg.Rebind(name, ref)
 
 	case opUnbind:
 		name, err := DecodeName(in)
 		if err != nil {
 			return errInvalidName(err.Error())
 		}
-		return wireErr(s.reg.Unbind(name))
+		return s.reg.Unbind(name)
 
 	case opResolve:
 		name, err := DecodeName(in)
@@ -143,7 +142,7 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		s.resolves.Add(1)
 		chosen, err := s.resolve(sctx, name)
 		if err != nil {
-			return wireErr(err)
+			return err
 		}
 		chosen.Ref.MarshalCDR(out)
 		// Trailing lease TTL: pre-lease clients stop reading after the
@@ -157,7 +156,7 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		if err != nil {
 			return errInvalidName(err.Error())
 		}
-		return wireErr(s.reg.BindNewContext(name))
+		return s.reg.BindNewContext(name)
 
 	case opList:
 		var name Name
@@ -173,7 +172,7 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		}
 		bindings, err := s.reg.List(name)
 		if err != nil {
-			return wireErr(err)
+			return err
 		}
 		out.PutUint32(uint32(len(bindings)))
 		for _, b := range bindings {
@@ -196,7 +195,7 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		if err := in.Err(); err != nil {
 			return &orb.SystemException{Kind: orb.ExMarshal, Detail: err.Error()}
 		}
-		return wireErr(s.reg.BindOffer(name, Offer{Ref: ref, Host: host, LeaseTTL: ttl}))
+		return s.reg.BindOffer(name, Offer{Ref: ref, Host: host, LeaseTTL: ttl})
 
 	case opRenewLease:
 		name, err := DecodeName(in)
@@ -211,7 +210,7 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		if err := in.Err(); err != nil {
 			return &orb.SystemException{Kind: orb.ExMarshal, Detail: err.Error()}
 		}
-		return wireErr(s.reg.RenewLease(name, ref, ttl))
+		return s.reg.RenewLease(name, ref, ttl)
 
 	case opListLeases:
 		name, err := DecodeName(in)
@@ -220,7 +219,7 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		}
 		leases, err := s.reg.Leases(name)
 		if err != nil {
-			return wireErr(err)
+			return err
 		}
 		putLeases(out, leases)
 		return nil
@@ -238,17 +237,6 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		out.PutUint64(s.reg.Epoch())
 		return nil
 
-	case opBindRemote:
-		name, err := DecodeName(in)
-		if err != nil {
-			return errInvalidName(err.Error())
-		}
-		var ref orb.ObjectRef
-		if err := ref.UnmarshalCDR(in); err != nil {
-			return &orb.SystemException{Kind: orb.ExMarshal, Detail: err.Error()}
-		}
-		return wireErr(s.reg.BindRemoteContext(name, ref))
-
 	case opUnbindOffer:
 		name, err := DecodeName(in)
 		if err != nil {
@@ -258,7 +246,7 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		if err := ref.UnmarshalCDR(in); err != nil {
 			return &orb.SystemException{Kind: orb.ExMarshal, Detail: err.Error()}
 		}
-		return wireErr(s.reg.UnbindOffer(name, ref))
+		return s.reg.UnbindOffer(name, ref)
 
 	case opListOffers:
 		name, err := DecodeName(in)
@@ -267,7 +255,7 @@ func (s *Servant) Invoke(sctx *orb.ServerContext, op string, in *cdr.Decoder, ou
 		}
 		offers, err := s.reg.Offers(name)
 		if err != nil {
-			return wireErr(err)
+			return err
 		}
 		out.PutUint32(uint32(len(offers)))
 		for _, o := range offers {

@@ -55,7 +55,8 @@ type BreakerOptions struct {
 // consecutive failures) → open → (Cooldown) → half-open, where a single
 // probe call decides between closed and open again. Callers ask Allow
 // before attempting and must report the attempt's outcome via Success or
-// Failure. All methods are safe for concurrent use.
+// Failure, or Abandon when there was none. All methods are safe for
+// concurrent use.
 type Breaker struct {
 	mu       sync.Mutex
 	opts     BreakerOptions
@@ -134,6 +135,15 @@ func (b *Breaker) Failure() {
 		// still down — restart the cooldown.
 		b.trip()
 	}
+}
+
+// Abandon reports an attempt that ended without an outcome — the caller's
+// own context finished first. A half-open probe slot is freed for the next
+// caller; state and failure count are left as they were.
+func (b *Breaker) Abandon() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
 }
 
 // trip opens the breaker (caller holds the lock). The closed/half-open →

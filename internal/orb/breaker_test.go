@@ -85,6 +85,27 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	}
 }
 
+func TestBreakerAbandonedProbeFreesTheSlot(t *testing.T) {
+	clk := newFakeClock()
+	b := newTestBreaker(1, time.Second, clk)
+	b.Failure()
+	clk.advance(time.Second)
+	if !b.Allow() {
+		t.Fatal("no probe admitted")
+	}
+	b.Abandon()
+	if got := b.State(); got != BreakerHalfOpen {
+		t.Fatalf("state after abandoned probe = %v, want half-open", got)
+	}
+	if !b.Allow() {
+		t.Fatal("abandoned probe kept the slot: no second probe admitted")
+	}
+	b.Success()
+	if got := b.State(); got != BreakerClosed {
+		t.Fatalf("state after successful probe = %v, want closed", got)
+	}
+}
+
 func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(2, time.Second, clk)

@@ -113,26 +113,27 @@ func (o *ORB) CallOpts(ctx context.Context, ref ObjectRef, op string, args func(
 	if co.FollowForwards || co.RetryBudget > 0 {
 		c := &Caller{ORB: o, Opts: co}
 		c.SetRef(ref)
-		return c.Invoke(ctx, op, args, reply)
+		return c.Call(ctx, op, args, reply)
 	}
 	return o.invokeOnce(ctx, ref, op, args, reply, co)
 }
 
 // Call runs one resilient invocation through the engine: the caller's
-// configured Opts overlaid with the per-call options. It is the unified
-// surface mirroring ORB.Call.
+// configured Opts overlaid with the per-call options, applied on every
+// attempt. It is the engine's one synchronous verb, mirroring ORB.Call;
+// with no options it runs on the Caller itself and allocates nothing for
+// the overlay.
 func (c *Caller) Call(ctx context.Context, op string, args func(*cdr.Encoder), reply func(*cdr.Decoder) error, opts ...CallOption) error {
 	if len(opts) == 0 {
-		return c.Invoke(ctx, op, args, reply)
+		return c.Do(ctx, op, func(ctx context.Context, ref ObjectRef) error {
+			return c.ORB.invokeOnce(ctx, ref, op, args, reply, c.Opts)
+		})
 	}
 	co := c.Opts
 	co.Apply(opts...)
-	sub := &Caller{
-		ORB: c.ORB, Resolve: c.Resolve, Recover: c.Recover, Redirect: c.Redirect,
-		RetryOn: c.RetryOn, OnRetry: c.OnRetry, Opts: co, MaxHops: c.MaxHops,
-	}
+	sub := &Caller{ORB: c.ORB, Recover: c.Recover, RetryOn: c.RetryOn, OnRetry: c.OnRetry, Opts: co}
 	sub.SetRef(c.Ref())
-	err := sub.Invoke(ctx, op, args, reply)
+	err := sub.Call(ctx, op, args, reply)
 	// Keep any reference the engine recovered to, so later calls through
 	// this Caller start from the live target.
 	if ref := sub.Ref(); !ref.IsNil() && ref != c.Ref() {

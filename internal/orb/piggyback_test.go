@@ -90,7 +90,7 @@ func TestCallOptionsContexts(t *testing.T) {
 		},
 	}
 	c.SetRef(dead)
-	if err := c.Invoke(ctx, "mirror", nil, nil); err != nil {
+	if err := c.Call(ctx, "mirror", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if string(answer.Data) != "yx" || c.Ref() != ref {

@@ -39,7 +39,7 @@ type CallOptions struct {
 	// their own classifier because checkpoint/restore makes replay safe.
 	Idempotent bool
 	// FollowForwards makes the call transparently follow LOCATION_FORWARD
-	// replies (bounded by the engine's MaxHops to break forwarding loops).
+	// replies (bounded by maxHops to break forwarding loops).
 	FollowForwards bool
 	// NoCoalesce flushes this call's request immediately instead of riding
 	// the connection's write-coalescing window (Options.CoalesceWindow).
@@ -177,28 +177,23 @@ func DefaultRetryOn(err error) bool {
 	return IsCommFailure(err) || IsSystemException(err, ExObjectNotExist) || IsAdmissionShed(err)
 }
 
+// maxHops bounds LOCATION_FORWARD chains, breaking forwarding loops.
+const maxHops = 8
+
 // Caller is the unified resilient-call engine: one implementation of the
-// resolve → invoke → on-failure → re-resolve → backoff → replay loop that
-// every layer above the ORB used to hand-roll separately (ft.Proxy,
-// ft.RequestProxy, naming federation hop-following, rosen.Manager). It
-// also follows budget-free redirects (LOCATION_FORWARD and, via the
-// Redirect hook, naming-federation continuations) bounded by MaxHops.
+// invoke → on-failure → recover → backoff → replay loop that every layer
+// above the ORB used to hand-roll separately (ft.Proxy, ft.RequestProxy,
+// rosen.Manager). It also follows budget-free LOCATION_FORWARD redirects,
+// at most maxHops of them per call.
 //
 // A Caller is safe for concurrent use; the current target reference is the
 // only mutable state.
 type Caller struct {
 	// ORB performs the transport invocations.
 	ORB *ORB
-	// Resolve obtains a (fresh) target reference; used when the Caller is
-	// unbound and, by default, to recover after retryable failures.
-	Resolve func(ctx context.Context) (ObjectRef, error)
 	// Recover maps a dead reference to a replacement before a replay.
-	// When nil, Resolve is used; when that is nil too, the dead reference
-	// is retried as-is (pure retry).
+	// When nil, the dead reference is retried as-is (pure retry).
 	Recover func(ctx context.Context, dead ObjectRef, cause error) (ObjectRef, error)
-	// Redirect classifies err as a budget-free redirect and returns the
-	// new target. When nil, only *ForwardError (LOCATION_FORWARD) counts.
-	Redirect func(err error) (ObjectRef, bool)
 	// RetryOn classifies retryable failures (default DefaultRetryOn).
 	RetryOn func(error) bool
 	// OnRetry is invoked before each replay round (1-based), after the
@@ -207,12 +202,9 @@ type Caller struct {
 	OnRetry func(round int, cause error)
 	// Opts carry the per-call deadline, retry budget and backoff.
 	Opts CallOptions
-	// MaxHops bounds redirect chains (default 8).
-	MaxHops int
 
-	mu    sync.Mutex
-	ref   ObjectRef
-	bound bool
+	mu  sync.Mutex
+	ref ObjectRef
 }
 
 // Ref returns the current target reference (zero when unbound).
@@ -222,53 +214,26 @@ func (c *Caller) Ref() ObjectRef {
 	return c.ref
 }
 
-// SetRef binds the caller to ref without resolving.
+// SetRef points the caller at ref.
 func (c *Caller) SetRef(ref ObjectRef) {
 	c.mu.Lock()
 	c.ref = ref
-	c.bound = !ref.IsNil()
 	c.mu.Unlock()
 }
 
-// Bind returns the current reference, resolving first if unbound.
-func (c *Caller) Bind(ctx context.Context) (ObjectRef, error) {
-	c.mu.Lock()
-	if c.bound {
-		ref := c.ref
-		c.mu.Unlock()
-		return ref, nil
+// target returns the current reference, failing when there is none.
+func (c *Caller) target() (ObjectRef, error) {
+	ref := c.Ref()
+	if ref.IsNil() {
+		return ObjectRef{}, &SystemException{Kind: ExObjectNotExist, Detail: "caller has no reference"}
 	}
-	c.mu.Unlock()
-	if c.Resolve == nil {
-		return ObjectRef{}, &SystemException{Kind: ExObjectNotExist, Detail: "caller has no reference and no resolver"}
-	}
-	ref, err := c.Resolve(ctx)
-	if err != nil {
-		return ObjectRef{}, err
-	}
-	c.SetRef(ref)
 	return ref, nil
-}
-
-// redirect applies the redirect classifier (ForwardError by default).
-func (c *Caller) redirect(err error) (ObjectRef, bool) {
-	if c.Redirect != nil {
-		return c.Redirect(err)
-	}
-	var fe *ForwardError
-	if errors.As(err, &fe) {
-		return fe.Target, true
-	}
-	return ObjectRef{}, false
 }
 
 // recoverRef obtains the replacement reference for a replay round.
 func (c *Caller) recoverRef(ctx context.Context, dead ObjectRef, cause error) (ObjectRef, error) {
 	if c.Recover != nil {
 		return c.Recover(ctx, dead, cause)
-	}
-	if c.Resolve != nil {
-		return c.Resolve(ctx)
 	}
 	return dead, nil
 }
@@ -278,7 +243,7 @@ func (c *Caller) recoverRef(ctx context.Context, dead ObjectRef, cause error) (O
 // failures trigger recover-backoff-replay until the budget is spent. op is
 // only used in error reports.
 func (c *Caller) Do(ctx context.Context, op string, attempt func(ctx context.Context, ref ObjectRef) error) error {
-	ref, err := c.Bind(ctx)
+	ref, err := c.target()
 	if err != nil {
 		return err
 	}
@@ -296,10 +261,6 @@ func (c *Caller) Do(ctx context.Context, op string, attempt func(ctx context.Con
 			}
 		}
 	}
-	maxHops := c.MaxHops
-	if maxHops <= 0 {
-		maxHops = 8
-	}
 	hops := 0
 	span := obs.SpanFromContext(ctx)
 	var last error
@@ -308,13 +269,14 @@ func (c *Caller) Do(ctx context.Context, op string, attempt func(ctx context.Con
 		if err == nil {
 			return nil
 		}
-		if fwd, ok := c.redirect(err); ok {
+		var fwd *ForwardError
+		if errors.As(err, &fwd) {
 			hops++
 			if hops > maxHops {
 				return &SystemException{Kind: ExTransient, Detail: fmt.Sprintf("%s: too many redirect hops", op)}
 			}
-			span.AddEvent("redirect", obs.String("op", op), obs.String("addr", fwd.Addr))
-			ref = fwd
+			span.AddEvent("redirect", obs.String("op", op), obs.String("addr", fwd.Target.Addr))
+			ref = fwd.Target
 			continue
 		}
 		if ctx.Err() != nil || !retryOn(err) {
@@ -414,19 +376,11 @@ func (c *Caller) countRecovery(ok bool) {
 	}
 }
 
-// Invoke is the engine's synchronous convenience: a resilient single-shot
-// invocation of op with the caller's options per attempt.
-func (c *Caller) Invoke(ctx context.Context, op string, writeArgs func(*cdr.Encoder), readReply func(*cdr.Decoder) error) error {
-	return c.Do(ctx, op, func(ctx context.Context, ref ObjectRef) error {
-		return c.ORB.invokeOnce(ctx, ref, op, writeArgs, readReply, c.Opts)
-	})
-}
-
 // Notify forwards a oneway operation to the current reference. Oneways
 // carry no reply, so failure detection — and therefore recovery — does not
 // apply; the call is best-effort by construction.
 func (c *Caller) Notify(ctx context.Context, op string, writeArgs func(*cdr.Encoder)) error {
-	ref, err := c.Bind(ctx)
+	ref, err := c.target()
 	if err != nil {
 		return err
 	}

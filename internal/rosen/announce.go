@@ -12,25 +12,19 @@ import (
 // worker group name plus the renewer keeping it alive. Stop withdraws the
 // worker from the group (best-effort unbind, then let the lease lapse).
 type Announcement struct {
-	ns      naming.LeaseBinder
+	ns      *naming.Client
 	name    naming.Name
 	ref     orb.ObjectRef
 	renewer *naming.LeaseRenewer
-}
-
-// Unbinder is the optional extra surface Stop uses for a prompt unbind;
-// naming.Client and naming.HAClient both provide it.
-type Unbinder interface {
-	UnbindOffer(ctx context.Context, name naming.Name, ref orb.ObjectRef) error
 }
 
 // AnnounceWorker registers a worker reference as a leased offer under the
 // RosenbrockWorker group and starts the lease renewer. With ttl <= 0 the
 // offer is bound without a lease (never swept) and no renewer runs —
 // callers that only want the old fire-and-forget registration get exactly
-// that. ns may be a plain naming.Client or an HAClient, so announcements
+// that. ns may be replicated (naming.NewHAClient), so announcements
 // survive nameserver failover.
-func AnnounceWorker(ctx context.Context, ns naming.LeaseBinder, ref orb.ObjectRef, host string, ttl time.Duration) (*Announcement, error) {
+func AnnounceWorker(ctx context.Context, ns *naming.Client, ref orb.ObjectRef, host string, ttl time.Duration) (*Announcement, error) {
 	name := naming.NewName(ServiceName)
 	if err := ns.BindOfferLease(ctx, name, ref, host, ttl); err != nil {
 		return nil, err
@@ -49,13 +43,11 @@ func (a *Announcement) Renewer() *naming.LeaseRenewer { return a.renewer }
 // Name returns the group name the worker is registered under.
 func (a *Announcement) Name() naming.Name { return a.name }
 
-// Stop halts renewal and, when ns supports it, unbinds the offer
-// immediately rather than waiting out the lease.
+// Stop halts renewal and unbinds the offer immediately rather than
+// waiting out the lease (best-effort).
 func (a *Announcement) Stop(ctx context.Context) {
 	if a.renewer != nil {
 		a.renewer.Stop()
 	}
-	if u, ok := a.ns.(Unbinder); ok {
-		_ = u.UnbindOffer(ctx, a.name, a.ref)
-	}
+	_ = a.ns.UnbindOffer(ctx, a.name, a.ref)
 }

@@ -28,13 +28,13 @@ func (c *Client) Ref() orb.ObjectRef { return c.caller.Ref() }
 
 // Report ships a load sample to the system manager.
 func (c *Client) Report(ctx context.Context, s LoadSample) error {
-	return c.caller.Invoke(ctx, opReport, func(e *cdr.Encoder) { s.MarshalCDR(e) }, nil)
+	return c.caller.Call(ctx, opReport, func(e *cdr.Encoder) { s.MarshalCDR(e) }, nil)
 }
 
 // BestHost asks for the currently best host, skipping any in exclude.
 func (c *Client) BestHost(ctx context.Context, exclude []string) (string, error) {
 	var host string
-	err := c.caller.Invoke(ctx, opBestHost,
+	err := c.caller.Call(ctx, opBestHost,
 		func(e *cdr.Encoder) { e.PutStringSeq(exclude) },
 		func(d *cdr.Decoder) error { host = d.GetString(); return d.Err() })
 	return host, err
@@ -43,7 +43,7 @@ func (c *Client) BestHost(ctx context.Context, exclude []string) (string, error)
 // BestOf asks for the best host among candidates.
 func (c *Client) BestOf(ctx context.Context, candidates []string) (string, error) {
 	var host string
-	err := c.caller.Invoke(ctx, opBestOf,
+	err := c.caller.Call(ctx, opBestOf,
 		func(e *cdr.Encoder) { e.PutStringSeq(candidates) },
 		func(d *cdr.Decoder) error { host = d.GetString(); return d.Err() })
 	return host, err
@@ -52,7 +52,7 @@ func (c *Client) BestOf(ctx context.Context, candidates []string) (string, error
 // Ranking fetches all hosts, best first.
 func (c *Client) Ranking(ctx context.Context) ([]HostInfo, error) {
 	var out []HostInfo
-	err := c.caller.Invoke(ctx, opRanking, nil, func(d *cdr.Decoder) error {
+	err := c.caller.Call(ctx, opRanking, nil, func(d *cdr.Decoder) error {
 		n := d.GetUint32()
 		if n > 1<<20 {
 			return &orb.SystemException{Kind: orb.ExMarshal, Detail: "ranking too long"}
@@ -73,7 +73,7 @@ func (c *Client) Ranking(ctx context.Context) ([]HostInfo, error) {
 // HostInfo fetches the manager's view of one host.
 func (c *Client) HostInfo(ctx context.Context, host string) (HostInfo, error) {
 	var out HostInfo
-	err := c.caller.Invoke(ctx, opHostInfo,
+	err := c.caller.Call(ctx, opHostInfo,
 		func(e *cdr.Encoder) { e.PutString(host) },
 		func(d *cdr.Decoder) error { return out.UnmarshalCDR(d) })
 	return out, err
@@ -92,5 +92,5 @@ func (c *Client) HostEffectiveSpeed(ctx context.Context, host string) (float64, 
 
 // Forget removes a host from the manager.
 func (c *Client) Forget(ctx context.Context, host string) error {
-	return c.caller.Invoke(ctx, opForget, func(e *cdr.Encoder) { e.PutString(host) }, nil)
+	return c.caller.Call(ctx, opForget, func(e *cdr.Encoder) { e.PutString(host) }, nil)
 }
