@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-check fuzz chaos generate bench
+.PHONY: check fmt vet build test race stress bench-check fuzz chaos generate bench
 
 ## FUZZTIME is how long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 10s
 
 ## check: everything CI's check job runs — formatting, vet, build,
-## race-enabled tests, the benchmark harness's own vet and tests, and every
-## fuzz target for FUZZTIME.
-check: fmt vet build race bench-check fuzz
+## race-enabled tests, the connection-pool stress run, the benchmark
+## harness's own vet and tests, and every fuzz target for FUZZTIME.
+check: fmt vet build race stress bench-check fuzz
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -27,6 +27,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## stress: the client connection pool's reconnect races, 2000 runs each —
+## a pooled connection whose death is recorded must never reach a caller.
+stress:
+	$(GO) test -run '^(TestReconnectAfterServerRestart|TestPooledConnWithRecordedDeathIsRedialed)$$' -count=2000 ./internal/orb
 
 ## bench-check: bench/ is a module of its own, so ./... does not reach it.
 bench-check:

@@ -427,9 +427,8 @@ func (f *Feeder) ReportLoad(host string, eff float64) { f.m.ReportLoad(host, eff
 
 // OfferTracker refcounts naming offers per host and drives membership
 // from the transitions: a host's first offer is a Join, its last offer
-// going away is a Leave. Wire it to naming.Registry.SetOfferObserver (in
-// a nameserver) or naming.GroupCacheOptions.HostObserver (in a client fed
-// by pushed membership).
+// going away is a Leave. Wire it to naming.Registry.SetOfferObserver in a
+// nameserver.
 type OfferTracker struct {
 	mu     sync.Mutex
 	counts map[string]int

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/naming"
@@ -41,10 +40,6 @@ type EnvironmentOptions struct {
 	UseWinner bool
 	// Latency is the virtual one-way network latency in seconds.
 	Latency float64
-	// SamplePeriod is the real-time node-manager period. Zero disables
-	// the periodic loop; experiments then drive sampling explicitly via
-	// SampleAll, keeping virtual-time runs deterministic.
-	SamplePeriod time.Duration
 }
 
 // Start boots an environment on a fresh uniform cluster.
@@ -93,11 +88,9 @@ func StartOn(c *cluster.Cluster, opts EnvironmentOptions) (*Environment, error) 
 	}
 
 	for _, h := range hosts {
-		nm := winner.NewNodeManager(h, winner.ManagerReporter{M: mgr}, opts.SamplePeriod)
+		nm := winner.NewNodeManager(h, winner.ManagerReporter{M: mgr}, 0)
 		env.NodeManagers = append(env.NodeManagers, nm)
-		if opts.SamplePeriod > 0 {
-			nm.Start()
-		} else if err := nm.ReportOnce(); err != nil {
+		if err := nm.ReportOnce(); err != nil {
 			env.Close()
 			return nil, err
 		}

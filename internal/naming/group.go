@@ -69,22 +69,8 @@ type GroupCacheOptions struct {
 	// OnApply, when set, observes every accepted membership update
 	// (tests, metrics hooks). Called outside the cache lock.
 	OnApply func(name Name, epoch uint64, members int)
-	// HostObserver, when set, receives per-offer host transitions diffed
-	// from accepted membership views: Bound for every host slot a view
-	// adds, Unbound for every one it drops. A cluster.OfferTracker
-	// satisfies it and refcounts the transitions into membership
-	// Join/Leave events — the push channel then feeds the same unified
-	// view the lease sweeper and the failure detector feed on the server
-	// side. Called outside the cache lock.
-	HostObserver HostObserver
 	// Clock overrides the dead-member and lease clock (tests).
 	Clock func() time.Time
-}
-
-// HostObserver consumes per-host offer add/remove transitions.
-type HostObserver interface {
-	Bound(host string)
-	Unbound(host string)
 }
 
 // groupEntry is the cached state of one watched name.
@@ -231,23 +217,6 @@ func (c *GroupCache) apply(name Name, epoch uint64, leases []OfferLease) {
 		c.mu.Unlock()
 		return
 	}
-	// Host-level diff for the membership observer: count each host's
-	// offer slots in the outgoing and incoming views; the signed
-	// difference is the set of Bound/Unbound transitions this view causes.
-	var hostDelta map[string]int
-	if c.opts.HostObserver != nil {
-		hostDelta = make(map[string]int)
-		for _, o := range e.members {
-			if o.Host != "" {
-				hostDelta[o.Host]--
-			}
-		}
-		for _, l := range leases {
-			if l.Offer.Host != "" {
-				hostDelta[l.Offer.Host]++
-			}
-		}
-	}
 	e.epoch = epoch
 	e.haveView = true
 	e.members = e.members[:0]
@@ -263,16 +232,6 @@ func (c *GroupCache) apply(name Name, epoch uint64, leases []OfferLease) {
 	members := len(e.members)
 	c.mu.Unlock()
 	c.applied.Add(1)
-	if ho := c.opts.HostObserver; ho != nil {
-		for host, d := range hostDelta {
-			for ; d > 0; d-- {
-				ho.Bound(host)
-			}
-			for ; d < 0; d++ {
-				ho.Unbound(host)
-			}
-		}
-	}
 	if c.opts.OnApply != nil {
 		c.opts.OnApply(name, epoch, members)
 	}

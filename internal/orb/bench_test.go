@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/cdr"
 	"repro/internal/giop"
@@ -105,13 +104,12 @@ func BenchmarkCallPath(b *testing.B) {
 
 // BenchmarkSyncCall measures concurrent synchronous calls end to end
 // over loopback TCP — the reactor's design point: pipelined requests let
-// the server drain multiple frames per read syscall and coalesce reply
-// flushes, so per-call cost amortizes well below the serial round-trip
-// floor.
+// the server drain multiple frames per read syscall, so per-call cost
+// amortizes well below the serial round-trip floor.
 func BenchmarkSyncCall(b *testing.B) {
 	cli, ref := newBenchWorldOpts(b,
 		Options{},
-		Options{Name: "bench-srv", ReplyCoalesceWindow: 100 * time.Microsecond})
+		Options{Name: "bench-srv"})
 	ctx := context.Background()
 	args := []float64{1, 2, 3, 4}
 	writeArgs := func(e *cdr.Encoder) { e.PutFloat64Seq(args) }
@@ -144,7 +142,7 @@ func BenchmarkSyncCall(b *testing.B) {
 // path is ≤2 allocs/op over BenchmarkSyncCall — observability
 // must not tax the data path it observes.
 func BenchmarkSyncCallObserved(b *testing.B) {
-	srv := New(Options{Name: "bench-srv", ReplyCoalesceWindow: 100 * time.Microsecond})
+	srv := New(Options{Name: "bench-srv"})
 	b.Cleanup(srv.Shutdown)
 	ad, err := srv.NewAdapter("127.0.0.1:0")
 	if err != nil {
@@ -198,11 +196,7 @@ func BenchmarkSyncCallObserved(b *testing.B) {
 func BenchmarkSyncCallQoS(b *testing.B) {
 	cli, ref := newBenchWorldOpts(b,
 		Options{},
-		Options{
-			Name:                "bench-srv",
-			ReplyCoalesceWindow: 100 * time.Microsecond,
-			QoS:                 QoSOptions{TenantRate: 1e9},
-		})
+		Options{Name: "bench-srv", QoS: QoSOptions{TenantRate: 1e9}})
 	ctx := context.Background()
 	args := []float64{1, 2, 3, 4}
 	writeArgs := func(e *cdr.Encoder) { e.PutFloat64Seq(args) }

@@ -47,13 +47,6 @@ func WithFollowForwards() CallOption {
 	return func(o *CallOptions) { o.FollowForwards = true }
 }
 
-// WithoutCoalescing flushes this call's request immediately instead of
-// letting it ride the connection's write-coalescing window. Latency-
-// critical singleton calls opt out; fan-outs should stay coalescable.
-func WithoutCoalescing() CallOption {
-	return func(o *CallOptions) { o.NoCoalesce = true }
-}
-
 // WithPriority stamps the call with a QoS class (carried in the SCQoS
 // service context): ClassCritical is dispatched first and never shed by
 // admission control, ClassBatch is shed first under overload. The
@@ -90,7 +83,7 @@ func (o *CallOptions) Apply(opts ...CallOption) {
 // the request body (nil for no arguments), reply consumes the reply body
 // (nil for void results). Behaviour is shaped by the variadic options —
 // deadline, retry budget and backoff, idempotency, LOCATION_FORWARD
-// following, write-coalescing opt-out. With no options it is a plain
+// following, QoS class and tenant. With no options it is a plain
 // bounded round trip: transport failures surface as COMM_FAILURE, servant
 // errors as *UserException / *SystemException.
 func (o *ORB) Call(ctx context.Context, ref ObjectRef, op string, args func(*cdr.Encoder), reply func(*cdr.Decoder) error, opts ...CallOption) error {

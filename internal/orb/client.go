@@ -20,10 +20,8 @@ type clientConn struct {
 	addr string
 	conn net.Conn
 
-	writeMu        sync.Mutex
-	bw             *bufio.Writer
-	flushScheduled bool        // a deferred flush will run; writes may ride it
-	flushTimer     *time.Timer // the scheduled flush (nil when none)
+	writeMu sync.Mutex
+	bw      *bufio.Writer
 
 	mu      sync.Mutex
 	pending map[uint32]chan *giop.Message
@@ -40,7 +38,7 @@ func (o *ORB) getConn(addr string) (*clientConn, error) {
 		o.mu.Unlock()
 		return nil, CommFailure("orb is shut down")
 	}
-	if c, ok := o.conns[addr]; ok {
+	if c := o.pooledConn(addr); c != nil {
 		o.mu.Unlock()
 		return c, nil
 	}
@@ -78,6 +76,20 @@ func (o *ORB) getConn(addr string) (*clientConn, error) {
 	return c, nil
 }
 
+// pooledConn returns the pooled connection for addr, or nil. A connection
+// whose death is already recorded is dropped instead of returned: close
+// records the death before it removes the connection from the pool, and a
+// caller handed it in between would fail at once with the stale cause.
+// Callers hold o.mu.
+func (o *ORB) pooledConn(addr string) *clientConn {
+	c := o.conns[addr]
+	if c != nil && c.deadErr() != nil {
+		delete(o.conns, addr)
+		return nil
+	}
+	return c
+}
+
 // dialConn establishes one outbound connection (no pooling).
 func (o *ORB) dialConn(addr string) (*clientConn, error) {
 	dctx, dcancel := context.WithTimeout(context.Background(), o.opts.DialTimeout)
@@ -111,7 +123,7 @@ func (o *ORB) Prewarm(ctx context.Context, addrs ...string) int {
 			break
 		}
 		o.mu.Lock()
-		_, pooled := o.conns[addr]
+		pooled := o.pooledConn(addr) != nil
 		o.mu.Unlock()
 		if pooled || addr == "" {
 			continue
@@ -152,7 +164,7 @@ const replyWindow = 4 << 10
 func (c *clientConn) readLoop() {
 	fr := giop.NewFrameReader(c.conn, giop.FrameReaderConfig{BufSize: replyWindow})
 	defer fr.Close()
-	batch := make([]*giop.Message, c.orb.opts.ReadBatch)
+	batch := make([]*giop.Message, readBatch)
 	for {
 		n, err := fr.ReadBatch(batch)
 		for i, m := range batch[:n] {
@@ -263,12 +275,10 @@ func (c *clientConn) deadErr() error {
 	return c.err
 }
 
-// send writes one message under the write lock. With flushNow false and a
-// configured CoalesceWindow the buffered bytes may wait up to the window
-// for concurrent writers to share the flush; message bytes are always
-// copied into the buffer synchronously, so callers may release pooled
+// send writes one message and flushes it under the write lock. The bytes
+// are copied into the buffer synchronously, so callers may release pooled
 // encoders backing m.Body as soon as send returns.
-func (c *clientConn) send(m *giop.Message, flushNow bool) error {
+func (c *clientConn) send(m *giop.Message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if err := c.deadErr(); err != nil {
@@ -278,43 +288,14 @@ func (c *clientConn) send(m *giop.Message, flushNow bool) error {
 		c.close(CommFailure(fmt.Sprintf("write to %s: %v", c.addr, err)))
 		return c.deadErr()
 	}
-	window := c.orb.opts.CoalesceWindow
-	switch {
-	case flushNow || window <= 0:
-		if c.flushTimer != nil {
-			c.flushTimer.Stop()
-			c.flushTimer = nil
-			c.flushScheduled = false
-		}
-		if err := c.bw.Flush(); err != nil {
-			c.close(CommFailure(fmt.Sprintf("flush to %s: %v", c.addr, err)))
-			return c.deadErr()
-		}
-	case c.flushScheduled:
-		// A flush is already on its way; this write rides it for free.
-		c.orb.counters.flushesCoalesced.Add(1)
-	default:
-		c.flushScheduled = true
-		c.flushTimer = time.AfterFunc(window, c.flushDeferred)
+	if err := c.bw.Flush(); err != nil {
+		c.close(CommFailure(fmt.Sprintf("flush to %s: %v", c.addr, err)))
+		return c.deadErr()
 	}
 	if m.Type == giop.MsgRequest {
 		c.orb.counters.requestsSent.Add(1)
 	}
 	return nil
-}
-
-// flushDeferred runs the scheduled coalesced flush.
-func (c *clientConn) flushDeferred() {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.flushScheduled = false
-	c.flushTimer = nil
-	if c.deadErr() != nil {
-		return
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.close(CommFailure(fmt.Sprintf("flush to %s: %v", c.addr, err)))
-	}
 }
 
 // abandonError maps a context's termination cause to the system exception
@@ -332,7 +313,7 @@ func abandonError(ctx context.Context, m *giop.Message) error {
 // pending entry is abandoned and a MsgCancelRequest is sent so the server
 // can abort the dispatch. Requests with a context deadline carry the
 // remaining time in the SCDeadline service context.
-func (c *clientConn) roundTrip(ctx context.Context, m *giop.Message, noCoalesce bool) (*giop.Message, error) {
+func (c *clientConn) roundTrip(ctx context.Context, m *giop.Message) (*giop.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, abandonError(ctx, m)
 	}
@@ -343,7 +324,7 @@ func (c *clientConn) roundTrip(ctx context.Context, m *giop.Message, noCoalesce 
 	if err != nil {
 		return nil, err
 	}
-	if err := c.send(m, noCoalesce); err != nil {
+	if err := c.send(m); err != nil {
 		c.unregister(m.RequestID)
 		return nil, err
 	}
@@ -369,7 +350,7 @@ func (c *clientConn) roundTrip(ctx context.Context, m *giop.Message, noCoalesce 
 		}
 		// Tell the server to abort the dispatch; best-effort (the reply,
 		// if any, is released by the read loop since we unregistered).
-		_ = c.send(&giop.Message{Type: giop.MsgCancelRequest, RequestID: m.RequestID}, true)
+		_ = c.send(&giop.Message{Type: giop.MsgCancelRequest, RequestID: m.RequestID})
 		c.orb.counters.cancelsSent.Add(1)
 		return nil, abandonError(ctx, m)
 	}
@@ -514,7 +495,7 @@ func (o *ORB) transferRequest(ctx context.Context, ref ObjectRef, m *giop.Messag
 	}
 	cctx, cancel := o.callContext(ctx, opts)
 	defer cancel()
-	return c.roundTrip(cctx, m, opts.NoCoalesce)
+	return c.roundTrip(cctx, m)
 }
 
 // Notify performs a oneway invocation (IDL "oneway" semantics): the
@@ -552,8 +533,6 @@ func (o *ORB) Notify(ctx context.Context, ref ObjectRef, op string, writeArgs fu
 }
 
 // notifyTransfer puts an already-intercepted oneway request on the wire.
-// Oneways are the natural coalescing customer: with a CoalesceWindow set,
-// a burst of notifications shares one flush.
 func (o *ORB) notifyTransfer(ctx context.Context, ref ObjectRef, m *giop.Message) error {
 	if err := ctx.Err(); err != nil {
 		return abandonError(ctx, m)
@@ -565,7 +544,7 @@ func (o *ORB) notifyTransfer(ctx context.Context, ref ObjectRef, m *giop.Message
 	if err != nil {
 		return err
 	}
-	return c.send(m, false)
+	return c.send(m)
 }
 
 // decodeReply maps a reply message to the caller's result or error. The
@@ -646,8 +625,7 @@ func (o *ORB) Locate(ctx context.Context, ref ObjectRef) (bool, error) {
 	}
 	cctx, cancel := o.callContext(ctx, CallOptions{})
 	defer cancel()
-	// Locate is a latency-sensitive liveness probe; never coalesce it.
-	reply, err := c.roundTrip(cctx, m, true)
+	reply, err := c.roundTrip(cctx, m)
 	if err != nil {
 		return false, err
 	}

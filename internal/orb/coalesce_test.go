@@ -91,13 +91,12 @@ func TestDialSingleflight(t *testing.T) {
 	}
 }
 
-// TestCoalescedFlushOrdering mixes a oneway storm with synchronous calls
-// on one coalescing connection: every sync reply must match its own
-// request (no cross-wiring through the shared flush), every oneway must
-// eventually arrive, and the window must actually coalesce some flushes.
-// Run with -race this also hammers the flushTimer/flushScheduled state
+// TestMixedOnewayAndSyncOrdering mixes a oneway storm with synchronous
+// calls on one connection: every sync reply must match its own request
+// (no cross-wiring between interleaved writes) and every oneway must
+// arrive. Run with -race this also hammers the connection's write lock
 // against concurrent senders.
-func TestCoalescedFlushOrdering(t *testing.T) {
+func TestMixedOnewayAndSyncOrdering(t *testing.T) {
 	srv := New(Options{Name: "co-srv"})
 	defer srv.Shutdown()
 	ad, err := srv.NewAdapter("127.0.0.1:0")
@@ -107,7 +106,7 @@ func TestCoalescedFlushOrdering(t *testing.T) {
 	sv := &seqServant{}
 	ref := ad.Activate("seq", sv)
 
-	cli := New(Options{Name: "co-cli", CoalesceWindow: 500 * time.Microsecond})
+	cli := New(Options{Name: "co-cli"})
 	defer cli.Shutdown()
 	ctx := context.Background()
 
@@ -153,8 +152,8 @@ func TestCoalescedFlushOrdering(t *testing.T) {
 		t.Fatalf("%d sync replies did not match their requests", n)
 	}
 
-	// Every oneway eventually lands (coalesced flushes may defer them
-	// briefly, never lose them).
+	// Every oneway eventually lands (the servant may still be working
+	// through them when the last sync reply returns).
 	deadline := time.Now().Add(5 * time.Second)
 	total := int64(notifiers*perWorker + syncCalls)
 	for sv.calls.Load() != total {
@@ -162,40 +161,5 @@ func TestCoalescedFlushOrdering(t *testing.T) {
 			t.Fatalf("servant saw %d calls, want %d", sv.calls.Load(), total)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if st := cli.Stats(); st.FlushesCoalesced == 0 {
-		t.Fatal("no flushes were coalesced despite the window")
-	}
-}
-
-// TestWithoutCoalescingFlushesImmediately verifies the per-call opt-out
-// still round-trips correctly on a coalescing connection.
-func TestWithoutCoalescingFlushesImmediately(t *testing.T) {
-	srv := New(Options{Name: "nc-srv"})
-	defer srv.Shutdown()
-	ad, err := srv.NewAdapter("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := ad.Activate("seq", &seqServant{})
-
-	cli := New(Options{Name: "nc-cli", CoalesceWindow: 50 * time.Millisecond})
-	defer cli.Shutdown()
-
-	// With a 50ms window, an immediate reply proves the request did not
-	// wait for the deferred flush.
-	start := time.Now()
-	var got int64
-	if err := cli.Call(context.Background(), ref, "echo",
-		func(e *cdr.Encoder) { e.PutInt64(7) },
-		func(d *cdr.Decoder) error { got = d.GetInt64(); return d.Err() },
-		WithoutCoalescing()); err != nil {
-		t.Fatal(err)
-	}
-	if got != 7 {
-		t.Fatalf("echo = %d", got)
-	}
-	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
-		t.Fatalf("opt-out call took %v — it waited for the coalescing window", elapsed)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // DegradeMode is the runtime's adaptive-degradation state. Under
 // sustained overload the controller walks the ORB down the ladder —
 // normal → degraded → critical-only — trading optional work (batch
-// admission, expensive winner ranking, tight checkpoint sync, eager
-// reply flushes) for headroom, then walks it back up as load recedes.
+// admission, expensive winner ranking, tight checkpoint sync) for
+// headroom, then walks it back up as load recedes.
 type DegradeMode int32
 
 // Degradation modes, least to most degraded.
@@ -20,7 +20,7 @@ const (
 	// ModeNormal: full service, every class admitted.
 	ModeNormal DegradeMode = iota
 	// ModeDegraded: batch admission closed; checkpoint sync relaxed,
-	// winner selection on its cheap fallback, reply coalescing widened.
+	// winner selection on its cheap fallback.
 	ModeDegraded
 	// ModeCriticalOnly: only critical-class requests are admitted; all
 	// ModeDegraded measures stay in force.
@@ -54,9 +54,9 @@ func (o *ORB) OnDegrade(fn func(DegradeMode)) {
 }
 
 // SetDegradeMode forces a degradation mode, applying every side effect
-// of a controller-driven transition (coalescing window, hooks, anomaly,
-// admission gate). The controller uses it internally; tests and
-// operators use it to force a mode.
+// of a controller-driven transition (hooks, anomaly, admission gate).
+// The controller uses it internally; tests and operators use it to force
+// a mode.
 func (o *ORB) SetDegradeMode(mode DegradeMode) {
 	if mode < ModeNormal || mode >= numDegradeModes {
 		mode = ModeCriticalOnly
@@ -65,12 +65,6 @@ func (o *ORB) SetDegradeMode(mode DegradeMode) {
 	if prev == mode {
 		return
 	}
-	// Widen the reply-coalescing window with the mode: shedding load is
-	// also about spending fewer syscalls per surviving reply. A zero base
-	// window stays zero — degradation never turns coalescing on where the
-	// operator disabled it.
-	base := int64(o.opts.ReplyCoalesceWindow)
-	o.replyCoalesce.Store(base * coalesceFactor(mode))
 	o.mu.Lock()
 	hooks := make([]func(DegradeMode), len(o.degradeHooks))
 	copy(hooks, o.degradeHooks)
@@ -79,24 +73,6 @@ func (o *ORB) SetDegradeMode(mode DegradeMode) {
 		fn(mode)
 	}
 	obs.SignalTrip(obs.AnomalyDegradeMode, fmt.Sprintf("%s: %s -> %s", o.opts.Name, prev, mode))
-}
-
-// coalesceFactor is the reply-coalescing widening per mode.
-func coalesceFactor(mode DegradeMode) int64 {
-	switch mode {
-	case ModeDegraded:
-		return 2
-	case ModeCriticalOnly:
-		return 4
-	default:
-		return 1
-	}
-}
-
-// replyCoalesceWindow is the effective server-side coalescing window
-// (base widened by the degradation mode).
-func (o *ORB) replyCoalesceWindow() time.Duration {
-	return time.Duration(o.replyCoalesce.Load())
 }
 
 // LoadScore is the ORB's default degradation signal: the worse of

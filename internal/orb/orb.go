@@ -74,12 +74,6 @@ type Options struct {
 	// connection: at most this many servant invocations run concurrently.
 	// Zero means max(8, 2×GOMAXPROCS).
 	WorkerPool int
-	// ReadBatch caps how many frames one connection's read loop takes per
-	// wakeup — requests it hands to the dispatch pool on the server side,
-	// replies it hands to their callers on the client side. Larger batches
-	// amortize syscalls under pipelining; smaller ones reduce burst
-	// latency skew across connections. Zero means 32.
-	ReadBatch int
 	// DispatchQueueDepth caps the total number of admitted requests
 	// waiting for a dispatch worker across all priority classes. Zero
 	// means max(256, 16×workers).
@@ -90,13 +84,6 @@ type Options struct {
 	// enables class-aware dispatch with defaults and no tenant
 	// throttling.
 	QoS QoSOptions
-	// ReplyCoalesceWindow enables server-side reply coalescing: while more
-	// replies are owed on a connection, a written reply may wait up to
-	// this long for them to share its flush syscall. The reply that
-	// empties the pipeline always flushes immediately, so the window only
-	// delays replies that have concurrent company. Zero disables
-	// coalescing — every reply is flushed immediately.
-	ReplyCoalesceWindow time.Duration
 	// MaxRequestBody caps the declared body size of inbound frames. An
 	// oversized request is drained with bounded reads (never buffered)
 	// and answered with a MARSHAL system exception; the connection
@@ -108,13 +95,6 @@ type Options struct {
 	// connections are unaffected. Zero means 30s; negative disables the
 	// guard.
 	FrameTimeout time.Duration
-	// CoalesceWindow enables client-side write coalescing: instead of
-	// flushing the socket once per request, a written request waits up to
-	// this long for concurrent callers on the same connection to share the
-	// flush (and its syscall). Zero disables coalescing — every request is
-	// flushed immediately. Individual calls opt out with
-	// WithoutCoalescing / CallOptions.NoCoalesce.
-	CoalesceWindow time.Duration
 	// Dialer opens outbound connections. Nil means a plain net.Dialer.
 	// This is the transport seam fault-injection layers plug into.
 	Dialer Dialer
@@ -150,12 +130,9 @@ type ORB struct {
 	admissionShed shedCounters
 
 	// degrade is the adaptive-degradation mode (a DegradeMode); every
-	// admission decision loads it. replyCoalesce is the effective
-	// server-side reply-coalescing window in nanoseconds — the base
-	// Options value widened by the degradation controller under load.
-	degrade       atomic.Int32
-	replyCoalesce atomic.Int64
-	degradeHooks  []func(DegradeMode) // registered at setup, called on transitions
+	// admission decision loads it.
+	degrade      atomic.Int32
+	degradeHooks []func(DegradeMode) // registered at setup, called on transitions
 
 	mu       sync.Mutex
 	conns    map[string]*clientConn // keyed by remote address
@@ -164,6 +141,11 @@ type ORB struct {
 	pool     *workerPool // shared dispatch pool, started by the first adapter
 	shutdown bool
 }
+
+// readBatch caps how many frames one connection's read loop takes per
+// wakeup: requests the server hands to the dispatch pool, replies the
+// client hands to their callers.
+const readBatch = 32
 
 // dialWait is one in-flight dial: concurrent callers for the same address
 // wait on done instead of racing their own dials (per-address
@@ -178,9 +160,6 @@ type dialWait struct {
 func New(opts Options) *ORB {
 	if opts.DialTimeout == 0 {
 		opts.DialTimeout = 10 * time.Second
-	}
-	if opts.ReadBatch == 0 {
-		opts.ReadBatch = 32
 	}
 	if opts.FrameTimeout == 0 {
 		opts.FrameTimeout = 30 * time.Second
@@ -200,7 +179,6 @@ func New(opts Options) *ORB {
 	if o.qos.TenantRate > 0 {
 		o.tenants = newTenantBuckets(o.qos.TenantRate, o.qos.TenantBurst)
 	}
-	o.replyCoalesce.Store(int64(opts.ReplyCoalesceWindow))
 	return o
 }
 

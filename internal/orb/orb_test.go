@@ -203,6 +203,53 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	}
 }
 
+// recordDeath puts the pooled connection for addr in the state close
+// leaves it in just before dropping it from the pool: death recorded,
+// pending calls taken, socket closed, pool entry still in place.
+func recordDeath(t *testing.T, o *ORB, addr string) *clientConn {
+	t.Helper()
+	o.mu.Lock()
+	c := o.conns[addr]
+	o.mu.Unlock()
+	if c == nil {
+		t.Fatalf("no pooled connection to %s", addr)
+	}
+	c.mu.Lock()
+	c.err = CommFailure("stale death")
+	c.pending = nil
+	c.mu.Unlock()
+	c.conn.Close()
+	return c
+}
+
+// TestPooledConnWithRecordedDeathIsRedialed covers the window inside
+// clientConn.close between recording a connection's death and dropping it
+// from the pool: a call or a Prewarm in that window must dial afresh
+// rather than use the dead connection.
+func TestPooledConnWithRecordedDeathIsRedialed(t *testing.T) {
+	o, a, ref, _ := newTestPair(t, Options{})
+	if _, err := callAdd(o, ref, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	dead := recordDeath(t, o, a.Addr())
+	if sum, err := callAdd(o, ref, 2, 3); err != nil || sum != 5 {
+		t.Fatalf("call over a connection whose death is recorded = %d, %v; want 5, <nil>", sum, err)
+	}
+	o.mu.Lock()
+	c := o.conns[a.Addr()]
+	o.mu.Unlock()
+	if c == nil || c == dead {
+		t.Fatal("the dead connection is still pooled")
+	}
+	recordDeath(t, o, a.Addr())
+	if n := o.Prewarm(context.Background(), a.Addr()); n != 1 {
+		t.Fatalf("Prewarm over a connection whose death is recorded = %d, want 1 redial", n)
+	}
+	if got := o.Stats().ConnectionsDialed; got != 3 {
+		t.Fatalf("ConnectionsDialed = %d, want 3", got)
+	}
+}
+
 func TestConcurrentInvocationsMultiplex(t *testing.T) {
 	o, _, ref, sv := newTestPair(t, Options{})
 	const n = 64

@@ -41,9 +41,6 @@ type CallOptions struct {
 	// FollowForwards makes the call transparently follow LOCATION_FORWARD
 	// replies (bounded by maxHops to break forwarding loops).
 	FollowForwards bool
-	// NoCoalesce flushes this call's request immediately instead of riding
-	// the connection's write-coalescing window (Options.CoalesceWindow).
-	NoCoalesce bool
 	// Priority is the call's QoS class, carried to the server in the
 	// SCQoS service context. The zero value (ClassNormal) with an empty
 	// Tenant sends no context at all — indistinguishable from a pre-QoS

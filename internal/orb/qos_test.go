@@ -176,10 +176,10 @@ func waitMode(t *testing.T, o *ORB, mode DegradeMode) {
 
 // TestDegradeControllerTransitions feeds the controller a synthetic load
 // signal and checks the whole ladder: one mode per debounced step on the
-// way down, one per step on the way back, with the reply-coalescing
-// window and the health probe tracking each transition.
+// way down, one per step on the way back, with the health probe
+// tracking each transition.
 func TestDegradeControllerTransitions(t *testing.T) {
-	o := New(Options{Name: "degrade-ctl", ReplyCoalesceWindow: 100 * time.Microsecond})
+	o := New(Options{Name: "degrade-ctl"})
 	t.Cleanup(o.Shutdown)
 
 	var score atomic.Uint64 // math.Float64bits of the synthetic load score
@@ -200,18 +200,12 @@ func TestDegradeControllerTransitions(t *testing.T) {
 	defer stop()
 
 	waitMode(t, o, ModeCriticalOnly)
-	if got := o.replyCoalesceWindow(); got != 400*time.Microsecond {
-		t.Fatalf("coalesce window at critical-only = %v, want 400µs (base ×4)", got)
-	}
 	if err := o.QoSHealthProbe(); err == nil {
 		t.Fatal("QoSHealthProbe healthy while critical-only")
 	}
 
 	setScore(0.1)
 	waitMode(t, o, ModeNormal)
-	if got := o.replyCoalesceWindow(); got != 100*time.Microsecond {
-		t.Fatalf("coalesce window back at normal = %v, want base 100µs", got)
-	}
 	if err := o.QoSHealthProbe(); err != nil {
 		t.Fatalf("QoSHealthProbe at normal: %v", err)
 	}

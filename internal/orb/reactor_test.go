@@ -106,19 +106,18 @@ func TestCancelRequestWhileQueued(t *testing.T) {
 	}
 }
 
-// TestReplyOrderingUnderCoalescedFlush pipelines many concurrent calls
-// over one connection with server-side reply coalescing enabled and
-// checks every reply against its request: deferred flushes may batch
-// replies but must never cross their payloads.
-func TestReplyOrderingUnderCoalescedFlush(t *testing.T) {
-	srv := New(Options{Name: "coalesce-srv", ReplyCoalesceWindow: 2 * time.Millisecond})
+// TestPipelinedReplyOrdering pipelines many concurrent calls over one
+// connection and checks every reply against its request: replies written
+// by concurrent workers must never cross their payloads.
+func TestPipelinedReplyOrdering(t *testing.T) {
+	srv := New(Options{Name: "pipeline-srv"})
 	t.Cleanup(srv.Shutdown)
 	a, err := srv.NewAdapter("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := a.Activate("calc", &calcServant{})
-	cli := New(Options{Name: "coalesce-cli"})
+	cli := New(Options{Name: "pipeline-cli"})
 	t.Cleanup(cli.Shutdown)
 
 	const calls = 256
@@ -152,7 +151,7 @@ func TestReplyOrderingUnderCoalescedFlush(t *testing.T) {
 	if st.FrameReads == 0 || st.FramesPerRead < 1 {
 		t.Fatalf("FrameReads = %d FramesPerRead = %v, want reads with ratio >= 1", st.FrameReads, st.FramesPerRead)
 	}
-	t.Logf("frames/read = %.2f, server flushes coalesced = %d", st.FramesPerRead, st.ServerFlushesCoalesced)
+	t.Logf("frames/read = %.2f", st.FramesPerRead)
 }
 
 // TestOversizeRequestRejectedConnectionSurvives sends a request whose

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cdr"
@@ -86,24 +85,16 @@ type Adapter struct {
 	taskWG sync.WaitGroup // admitted requests not yet finished by a worker
 }
 
-// serverConn is one inbound connection: its coalescing writer and the
+// serverConn is one inbound connection: its buffered writer and the
 // cancellation state of its in-flight requests.
 type serverConn struct {
 	a    *Adapter
 	conn net.Conn
 	peer string
 
-	writeMu        sync.Mutex
-	bw             *bufio.Writer
-	dead           bool        // a write or flush failed; drop further output
-	flushScheduled bool        // a deferred coalesced flush will run
-	flushTimer     *time.Timer // reusable timer driving deferred flushes
-
-	// pendingReplies counts admitted response-expected requests whose
-	// replies are still owed. The reply that takes it to zero always
-	// flushes immediately — a batch costs one flush without adding
-	// latency when the pipeline empties.
-	pendingReplies atomic.Int64
+	writeMu sync.Mutex
+	bw      *bufio.Writer
+	dead    bool // a write or flush failed; drop further output
 
 	// mu guards inflight: request id -> cancel func for every cancellable
 	// request currently queued or dispatching on this connection.
@@ -138,10 +129,9 @@ func (c *serverConn) cancelInflight(id uint32) bool {
 	return ok
 }
 
-// writeNow sends one message and flushes immediately (locate replies,
-// admission sheds, protocol errors: standalone writes that never ride a
-// coalesced batch).
-func (c *serverConn) writeNow(m *giop.Message) {
+// write sends one message and flushes it: every reply, shed, locate
+// reply and protocol error leaves the connection through here.
+func (c *serverConn) write(m *giop.Message) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if c.dead {
@@ -149,59 +139,6 @@ func (c *serverConn) writeNow(m *giop.Message) {
 	}
 	if err := giop.Write(c.bw, m); err != nil {
 		c.dead = true
-		return
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.dead = true
-	}
-}
-
-// writeReply sends a dispatch reply through the server-side coalescing
-// window: while more replies are owed on this connection, the flush may
-// wait up to ReplyCoalesceWindow for them, so a batch of requests costs
-// one flush syscall instead of one per reply. The reply that empties the
-// pipeline flushes immediately.
-func (c *serverConn) writeReply(m *giop.Message) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	pending := c.pendingReplies.Add(-1)
-	if c.dead {
-		return
-	}
-	if err := giop.Write(c.bw, m); err != nil {
-		c.dead = true
-		return
-	}
-	window := c.a.orb.replyCoalesceWindow()
-	switch {
-	case window <= 0 || pending <= 0:
-		if c.flushTimer != nil {
-			c.flushTimer.Stop()
-		}
-		c.flushScheduled = false
-		if err := c.bw.Flush(); err != nil {
-			c.dead = true
-		}
-	case c.flushScheduled:
-		// A flush is already on its way; this reply rides it for free.
-		c.a.orb.counters.serverFlushesCoalesced.Add(1)
-	default:
-		c.flushScheduled = true
-		if c.flushTimer == nil {
-			c.flushTimer = time.AfterFunc(window, c.flushDeferred)
-		} else {
-			c.flushTimer.Reset(window)
-		}
-	}
-}
-
-// flushDeferred runs the scheduled coalesced flush (the safety net for
-// replies deferred behind a slow dispatch).
-func (c *serverConn) flushDeferred() {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.flushScheduled = false
-	if c.dead {
 		return
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -213,7 +150,7 @@ func (c *serverConn) flushDeferred() {
 // write deadline) and closes the socket.
 func (c *serverConn) shutdown() {
 	c.conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-	c.writeNow(&giop.Message{Type: giop.MsgCloseConnection})
+	c.write(&giop.Message{Type: giop.MsgCloseConnection})
 	c.conn.Close()
 }
 
@@ -426,7 +363,7 @@ func (a *Adapter) serveConn(conn net.Conn) {
 		SetReadDeadline: conn.SetReadDeadline,
 	})
 	defer fr.Close()
-	batch := make([]*giop.Message, o.opts.ReadBatch)
+	batch := make([]*giop.Message, readBatch)
 	var lastReads, lastFrames uint64
 
 	for {
@@ -456,12 +393,12 @@ func (a *Adapter) serveConn(conn net.Conn) {
 				if tbe.ResponseExpected {
 					reply := &giop.Message{Type: giop.MsgReply, RequestID: tbe.RequestID}
 					setReplyError(reply, &SystemException{Kind: ExMarshal, Detail: err.Error()})
-					sc.writeNow(reply)
+					sc.write(reply)
 				}
 				continue
 			}
 			if isProtocolError(err) {
-				sc.writeNow(&giop.Message{Type: giop.MsgError})
+				sc.write(&giop.Message{Type: giop.MsgError})
 			}
 			return
 		}
@@ -481,7 +418,7 @@ func (a *Adapter) handleMessage(sc *serverConn, connCtx context.Context, m *giop
 		if _, ok := a.Resolve(m.ObjectKey); ok {
 			status = giop.LocateObjectHere
 		}
-		sc.writeNow(&giop.Message{Type: giop.MsgLocateReply, RequestID: m.RequestID, LocateStatus: status})
+		sc.write(&giop.Message{Type: giop.MsgLocateReply, RequestID: m.RequestID, LocateStatus: status})
 		m.Release()
 		return true
 	case giop.MsgCancelRequest:
@@ -495,7 +432,7 @@ func (a *Adapter) handleMessage(sc *serverConn, connCtx context.Context, m *giop
 		return false
 	default:
 		m.Release()
-		sc.writeNow(&giop.Message{Type: giop.MsgError})
+		sc.write(&giop.Message{Type: giop.MsgError})
 		return false
 	}
 }
@@ -554,7 +491,7 @@ func (a *Adapter) admitRequest(sc *serverConn, connCtx context.Context, m *giop.
 		obs.Signal(obs.AnomalyDeadlineShed)
 		o.recordRequest(m, sc.peer, 0, 0, obs.OutcomeShed, class)
 		if m.ResponseExpected {
-			sc.writeNow(shedReply(m))
+			sc.write(shedReply(m))
 		}
 		if rcancel != nil {
 			rcancel()
@@ -564,9 +501,6 @@ func (a *Adapter) admitRequest(sc *serverConn, connCtx context.Context, m *giop.
 	}
 	if rcancel != nil {
 		sc.addInflight(m.RequestID, rcancel)
-	}
-	if m.ResponseExpected {
-		sc.pendingReplies.Add(1)
 	}
 	t := acquireTask()
 	t.a, t.sc, t.req, t.rctx, t.rcancel = a, sc, m, rctx, rcancel
@@ -578,14 +512,13 @@ func (a *Adapter) admitRequest(sc *serverConn, connCtx context.Context, m *giop.
 	case admitRejected:
 		// Batch queue share exhausted: fast-reject with the configured
 		// retry-after hint. The admission state registered above is
-		// unwound here; the reply rides the coalescing path because
-		// pendingReplies already counts it.
+		// unwound here.
 		o.counters.requestsShed.Add(1)
 		o.admissionShed.add(t.class, ShedQueueFull)
 		obs.Signal(obs.AnomalyAdmissionShed)
 		o.recordRequest(m, sc.peer, 0, 0, obs.OutcomeShed, t.class)
 		if m.ResponseExpected {
-			sc.writeReply(qosShedReply(m, t.class, ShedQueueFull, o.qos.RetryAfter))
+			sc.write(qosShedReply(m, t.class, ShedQueueFull, o.qos.RetryAfter))
 		}
 		if rcancel != nil {
 			sc.removeInflight(m.RequestID)
@@ -610,7 +543,7 @@ func (a *Adapter) shedQoS(sc *serverConn, m *giop.Message, class Priority, reaso
 	obs.Signal(obs.AnomalyAdmissionShed)
 	o.recordRequest(m, sc.peer, 0, 0, obs.OutcomeShed, class)
 	if m.ResponseExpected {
-		sc.writeNow(qosShedReply(m, class, reason, retryAfter))
+		sc.write(qosShedReply(m, class, reason, retryAfter))
 	}
 	m.Release()
 }
@@ -643,14 +576,14 @@ func (a *Adapter) serveRequest(t *dispatchTask) {
 			obs.Signal(obs.AnomalyDeadlineShed)
 		}
 		if req.ResponseExpected {
-			sc.writeReply(shedReply(req))
+			sc.write(shedReply(req))
 		}
 		outcome = obs.OutcomeShed
 	} else if req.ResponseExpected {
 		o.counters.inFlight.Add(1)
 		reply, release := a.dispatch(t, sc.peer, req, &t.sctx)
 		outcome = replyOutcome(reply.ReplyStatus)
-		sc.writeReply(reply)
+		sc.write(reply)
 		release()
 		reply.Release()
 		o.counters.inFlight.Add(-1)

@@ -39,9 +39,7 @@ type Stats struct {
 	// in-flight dial instead of racing a duplicate connection (per-address
 	// dial singleflight).
 	DialsCoalesced uint64
-	// FlushesCoalesced counts request writes that rode an already-scheduled
-	// flush inside the write-coalescing window instead of paying their own
-	// flush syscall (see Options.CoalesceWindow).
+	// Deprecated: always 0; kept until bench/ stops reading it.
 	FlushesCoalesced uint64
 	// ConnectionsPrewarmed counts connections established ahead of first
 	// use by ORB.Prewarm.
@@ -56,9 +54,7 @@ type Stats struct {
 	// their propagated deadline had already expired before dispatch, so
 	// the servant was never invoked.
 	RequestsShed uint64
-	// ServerFlushesCoalesced counts server replies that rode an
-	// already-scheduled coalesced flush instead of paying their own flush
-	// syscall (see Options.ReplyCoalesceWindow).
+	// Deprecated: always 0; kept until bench/ stops reading it.
 	ServerFlushesCoalesced uint64
 	// FramesRead counts GIOP frames delivered by server-side reactor read
 	// loops across all adapters.
@@ -96,25 +92,23 @@ type Stats struct {
 
 // orbCounters is the internal atomic representation.
 type orbCounters struct {
-	requestsSent           atomic.Uint64
-	repliesReceived        atomic.Uint64
-	requestsServed         atomic.Uint64
-	connectionsAccepted    atomic.Uint64
-	connectionsDialed      atomic.Uint64
-	dialsCoalesced         atomic.Uint64
-	flushesCoalesced       atomic.Uint64
-	connectionsPrewarmed   atomic.Uint64
-	cancelsSent            atomic.Uint64
-	cancelsReceived        atomic.Uint64
-	requestsShed           atomic.Uint64
-	serverFlushesCoalesced atomic.Uint64
-	framesRead             atomic.Uint64
-	frameReads             atomic.Uint64
-	oversizeRejected       atomic.Uint64
-	retriesAttempted       atomic.Uint64
-	recoveriesSucceeded    atomic.Uint64
-	recoveriesFailed       atomic.Uint64
-	inFlight               atomic.Int64
+	requestsSent         atomic.Uint64
+	repliesReceived      atomic.Uint64
+	requestsServed       atomic.Uint64
+	connectionsAccepted  atomic.Uint64
+	connectionsDialed    atomic.Uint64
+	dialsCoalesced       atomic.Uint64
+	connectionsPrewarmed atomic.Uint64
+	cancelsSent          atomic.Uint64
+	cancelsReceived      atomic.Uint64
+	requestsShed         atomic.Uint64
+	framesRead           atomic.Uint64
+	frameReads           atomic.Uint64
+	oversizeRejected     atomic.Uint64
+	retriesAttempted     atomic.Uint64
+	recoveriesSucceeded  atomic.Uint64
+	recoveriesFailed     atomic.Uint64
+	inFlight             atomic.Int64
 }
 
 // Stats returns a snapshot of the ORB's counters.
@@ -132,29 +126,27 @@ func (o *ORB) Stats() Stats {
 		framesPerRead = float64(framesRead) / float64(frameReads)
 	}
 	return Stats{
-		RequestsSent:           o.counters.requestsSent.Load(),
-		RepliesReceived:        o.counters.repliesReceived.Load(),
-		RequestsServed:         o.counters.requestsServed.Load(),
-		ConnectionsAccepted:    o.counters.connectionsAccepted.Load(),
-		ConnectionsDialed:      o.counters.connectionsDialed.Load(),
-		DialsCoalesced:         o.counters.dialsCoalesced.Load(),
-		FlushesCoalesced:       o.counters.flushesCoalesced.Load(),
-		ConnectionsPrewarmed:   o.counters.connectionsPrewarmed.Load(),
-		CancelsSent:            o.counters.cancelsSent.Load(),
-		CancelsReceived:        o.counters.cancelsReceived.Load(),
-		RequestsShed:           o.counters.requestsShed.Load(),
-		ServerFlushesCoalesced: o.counters.serverFlushesCoalesced.Load(),
-		FramesRead:             framesRead,
-		FrameReads:             frameReads,
-		FramesPerRead:          framesPerRead,
-		OversizeRejected:       o.counters.oversizeRejected.Load(),
-		DispatchQueueDepth:     queueDepth,
-		RetriesAttempted:       o.counters.retriesAttempted.Load(),
-		RecoveriesSucceeded:    o.counters.recoveriesSucceeded.Load(),
-		RecoveriesFailed:       o.counters.recoveriesFailed.Load(),
-		InFlight:               o.counters.inFlight.Load(),
-		AdmissionShed:          o.admissionShed.total(),
-		DegradeMode:            o.DegradeMode().String(),
+		RequestsSent:         o.counters.requestsSent.Load(),
+		RepliesReceived:      o.counters.repliesReceived.Load(),
+		RequestsServed:       o.counters.requestsServed.Load(),
+		ConnectionsAccepted:  o.counters.connectionsAccepted.Load(),
+		ConnectionsDialed:    o.counters.connectionsDialed.Load(),
+		DialsCoalesced:       o.counters.dialsCoalesced.Load(),
+		ConnectionsPrewarmed: o.counters.connectionsPrewarmed.Load(),
+		CancelsSent:          o.counters.cancelsSent.Load(),
+		CancelsReceived:      o.counters.cancelsReceived.Load(),
+		RequestsShed:         o.counters.requestsShed.Load(),
+		FramesRead:           framesRead,
+		FrameReads:           frameReads,
+		FramesPerRead:        framesPerRead,
+		OversizeRejected:     o.counters.oversizeRejected.Load(),
+		DispatchQueueDepth:   queueDepth,
+		RetriesAttempted:     o.counters.retriesAttempted.Load(),
+		RecoveriesSucceeded:  o.counters.recoveriesSucceeded.Load(),
+		RecoveriesFailed:     o.counters.recoveriesFailed.Load(),
+		InFlight:             o.counters.inFlight.Load(),
+		AdmissionShed:        o.admissionShed.total(),
+		DegradeMode:          o.DegradeMode().String(),
 	}
 }
 
@@ -178,12 +170,10 @@ func (o *ORB) ExportStats(reg *obs.Registry) {
 		{"orb_connections_accepted_total", "Inbound connections accepted.", &o.counters.connectionsAccepted},
 		{"orb_connections_dialed_total", "Outbound connections established.", &o.counters.connectionsDialed},
 		{"orb_dials_coalesced_total", "getConn calls that joined an in-flight dial.", &o.counters.dialsCoalesced},
-		{"orb_flushes_coalesced_total", "Request writes that shared a coalesced flush.", &o.counters.flushesCoalesced},
 		{"orb_connections_prewarmed_total", "Connections established ahead of first use by Prewarm.", &o.counters.connectionsPrewarmed},
 		{"orb_cancels_sent_total", "Wire-level cancels written for abandoned calls.", &o.counters.cancelsSent},
 		{"orb_cancels_received_total", "Wire-level cancels acted on by the server side.", &o.counters.cancelsReceived},
 		{"orb_requests_shed_total", "Requests rejected by deadline-aware admission.", &o.counters.requestsShed},
-		{"orb_server_flushes_coalesced_total", "Server replies that shared a coalesced flush.", &o.counters.serverFlushesCoalesced},
 		{"orb_frames_read_total", "GIOP frames delivered by reactor read loops.", &o.counters.framesRead},
 		{"orb_frame_reads_total", "Read syscalls those frames arrived in.", &o.counters.frameReads},
 		{"orb_oversize_rejected_total", "Inbound frames rejected by the request-body cap.", &o.counters.oversizeRejected},

@@ -18,6 +18,10 @@ import (
 // the elastic loop discards the partial result and re-decomposes.
 var errInterrupted = errors.New("rosen: segment interrupted by membership change")
 
+// rebalanceGrace is how long a failed segment waits for membership to
+// change before retrying against an unchanged pool.
+const rebalanceGrace = 2 * time.Second
+
 // ElasticOptions configure elastic re-decomposition: the manager
 // subscribes to the cluster membership view and, on worker Join/Leave,
 // checkpoints boundary state, recomputes the decomposition for the new
@@ -47,9 +51,6 @@ type ElasticOptions struct {
 	// source, target filter, claimer, ...). MigrateMembership is added
 	// automatically.
 	MigrateOptions []ft.MigrateOption
-	// RebalanceGrace is how long a failed segment waits for membership to
-	// change before retrying against an unchanged pool (default 2s).
-	RebalanceGrace time.Duration
 	// Logger records segment transitions.
 	Logger *slog.Logger
 	// OnSegment, when set, observes each segment start with its ordinal
@@ -164,11 +165,6 @@ func (m *Manager) runElastic(ctx context.Context) (*Result, error) {
 	if minW > maxW {
 		return nil, fmt.Errorf("rosen: elastic MinWorkers %d > MaxWorkers %d", minW, maxW)
 	}
-	grace := el.RebalanceGrace
-	if grace <= 0 {
-		grace = 2 * time.Second
-	}
-
 	// One subscription for the whole run: segments poll width() to decide
 	// interruption; the channel only wakes the park/retry waits.
 	ch, cancel := el.Membership.Subscribe()
@@ -241,7 +237,7 @@ func (m *Manager) runElastic(ctx context.Context) (*Result, error) {
 			return nil, ctx.Err()
 		case <-ch:
 			noChange = 0
-		case <-time.After(grace):
+		case <-time.After(rebalanceGrace):
 			noChange++
 			if noChange >= 3 {
 				return nil, fmt.Errorf("rosen: elastic run failed with stable membership: %w", err)
