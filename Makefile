@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race stress bench-check fuzz chaos generate bench
+.PHONY: check fmt vet build test race stress bench-check fuzz examples chaos generate bench
 
 ## FUZZTIME is how long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 10s
 
 ## check: everything CI's check job runs — formatting, vet, build,
 ## race-enabled tests, the connection-pool stress run, the benchmark
-## harness's own vet and tests, and every fuzz target for FUZZTIME.
-check: fmt vet build race stress bench-check fuzz
+## harness's own vet and tests, every fuzz target for FUZZTIME, and
+## every example program run to the end.
+check: fmt vet build race stress bench-check fuzz examples
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -50,6 +51,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME) ./internal/ft
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointContext$$' -fuzztime $(FUZZTIME) ./internal/ft
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/naming
+
+## examples: build every examples/* program and run each one; a non-zero
+## exit, or a run longer than 60 s, fails the target.
+examples:
+	@bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/" ./examples/... || exit 1; \
+	for p in "$$bin"/*; do \
+		echo "== examples/$$(basename "$$p")"; \
+		timeout 60 "$$p" || { echo "examples/$$(basename "$$p") failed: exit $$?"; exit 1; }; \
+	done
 
 ## chaos: the fault-injection soaks — Rosenbrock under worker kills, a
 ## naming partition, checkpoint-path delays and a checkpointd replica

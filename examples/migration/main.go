@@ -3,8 +3,9 @@
 // due to a changing load situation", made operational. A long-lived
 // simulation service runs on one workstation; when background load
 // appears there, the migrator consults Winner, finds a much better host
-// and moves the service state over — while a failure detector
-// concurrently prunes dead offers from the naming service.
+// and moves the service state over. When the new host then crashes, the
+// next call recovers the paper's way: the proxy unbinds the dead offer,
+// re-resolves the name, restores the checkpoint and replays.
 //
 //	go run ./examples/migration
 package main
@@ -101,8 +102,6 @@ func main() {
 	migrator := ft.NewMigrator(ctx, proxy,
 		ft.MigrateOffers(env.Naming), ft.MigrateLoads(env.Manager),
 		ft.MigrateMinImprovement(1.5))
-	detector := ft.NewDetector(client, env.Naming, ft.DetectorOptions{Suspicions: 1})
-	detector.Watch(name)
 
 	step := func() int64 {
 		var n int64
@@ -146,9 +145,14 @@ func main() {
 		fmt.Printf("  step -> %d\n", step())
 	}
 
-	fmt.Println("\n*** the old workstation crashes; the detector prunes its offer ***")
-	nodes[0].Fail()
-	detector.Step(ctx)
+	serving := hostOf()
+	fmt.Printf("\n*** %s crashes; the next call recovers from the checkpoint ***\n", serving)
+	for i, h := range hostNames {
+		if h == serving {
+			nodes[i].Fail()
+		}
+	}
+	fmt.Printf("  step -> %d\n", step())
 	offers, _ := env.Naming.ListOffers(ctx, name)
 	fmt.Printf("offers remaining: %d, proxy stats: %+v\n", len(offers), proxy.Stats())
 }

@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"sync"
-	"time"
 )
 
 // Clock is a monotone virtual clock measured in seconds. It follows
@@ -57,10 +56,4 @@ func (c *Clock) Reset() {
 	c.mu.Lock()
 	c.now = 0
 	c.mu.Unlock()
-}
-
-// AsDuration renders a virtual-seconds value as a time.Duration for
-// display.
-func AsDuration(seconds float64) time.Duration {
-	return time.Duration(seconds * float64(time.Second))
 }

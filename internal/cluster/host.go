@@ -114,13 +114,6 @@ func (h *Host) EndJob() {
 	h.mu.Unlock()
 }
 
-// Jobs returns the number of active compute jobs.
-func (h *Host) Jobs() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.jobs
-}
-
 // Compute charges units seconds of reference-CPU work to the host,
 // advancing its virtual clock by units / effectiveSpeed. Competing
 // demand counts both background processes and other active compute jobs

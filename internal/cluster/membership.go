@@ -16,8 +16,8 @@ const (
 	// Join: a host became part of the live pool (first offer bound, first
 	// load sample, or explicit report).
 	Join EventKind = iota + 1
-	// Leave: a host left the pool (lease expiry, failure-detector
-	// eviction, pushed invalidation, explicit report). However many
+	// Leave: a host left the pool (its last offer unbound by recovery or
+	// lease expiry, pushed invalidation, explicit report). However many
 	// subsystems notice the same death, exactly one Leave is emitted.
 	Leave
 	// Degrading: the host is still alive but its Winner load trend
@@ -55,9 +55,9 @@ type Event struct {
 	// (meaningful for Degrading events; 0 when no peak is known).
 	Trend float64
 	// Source names the subsystem whose report caused the transition
-	// ("winner", "lease", "detector", "push", ...). With several
-	// subsystems racing to report the same death, Source records the one
-	// that got there first.
+	// ("winner", "naming", "push", ...). With several subsystems racing
+	// to report the same death, Source records the one that got there
+	// first.
 	Source string
 }
 
@@ -111,12 +111,13 @@ func WithMembershipLogger(l *slog.Logger) MemberOption {
 }
 
 // Membership is the unified, subscribable view of the live host pool.
-// What was previously scattered — winner.Manager load samples, leased
-// naming offers, ft.Detector evictions, pushed ns_invalidate membership —
-// funnels into one place that dedups racing reports (a single death is
-// one Leave, however many subsystems notice it) and derives the
-// Degrading signal from Winner load trends. The elastic manager, the
-// proactive migrator and the daemons all consume this one view.
+// What was previously scattered — winner.Manager load samples, naming
+// offer lifecycle (binds, recovery unbinds, lease expiry), pushed
+// ns_invalidate membership — funnels into one place that dedups racing
+// reports (a single death is one Leave, however many subsystems notice
+// it) and derives the Degrading signal from Winner load trends. The
+// elastic manager, the proactive migrator and the daemons all consume
+// this one view.
 // All methods are safe for concurrent use.
 type Membership struct {
 	degradeTrend   float64
@@ -267,8 +268,8 @@ func (m *Membership) ReportAlive(host, source string) {
 }
 
 // ReportDead records that host is gone. Idempotent: however many
-// subsystems report the same death (lease sweeper, failure detector,
-// pushed invalidation), only the first report emits Leave.
+// subsystems report the same death (offer tracking, Winner, pushed
+// invalidation), only the first report emits Leave.
 func (m *Membership) ReportDead(host, source string) {
 	if host == "" {
 		return
@@ -406,8 +407,8 @@ func (m *Membership) ExportMetrics(reg *obs.Registry) {
 }
 
 // Feeder is a Membership bound to one source label, matching the small
-// report interfaces the feeding subsystems (winner.Manager, ft.Detector,
-// naming caches) declare locally — they stay decoupled from this package.
+// report interfaces the feeding subsystems (winner.Manager, naming
+// caches) declare locally — they stay decoupled from this package.
 type Feeder struct {
 	m      *Membership
 	source string

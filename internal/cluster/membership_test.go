@@ -44,16 +44,15 @@ func TestMembershipJoinLeaveEvents(t *testing.T) {
 }
 
 func TestMembershipDeathReportedOnceAcrossSources(t *testing.T) {
-	// The satellite fix: detector eviction, lease expiry and push
-	// invalidation all funnel into the membership view, and a single death
-	// must produce exactly one Leave regardless of how many layers report
-	// it.
+	// Recovery unbinds, lease expiry and push invalidation all funnel into
+	// the membership view, and a single death must produce exactly one
+	// Leave regardless of how many layers report it.
 	m := NewMembership()
 	ch, cancel := m.Subscribe()
 	defer cancel()
 
 	m.ReportAlive("h1", "offers")
-	m.ReportDead("h1", "detector")
+	m.ReportDead("h1", "recovery")
 	m.ReportDead("h1", "sweeper") // duplicate: already dead
 	m.ReportDead("h1", "push")    // duplicate
 	m.ReportAlive("h2", "offers") // sentinel so we know the queue drained
@@ -62,7 +61,7 @@ func TestMembershipDeathReportedOnceAcrossSources(t *testing.T) {
 	if evs[0].Kind != Join || evs[1].Kind != Leave || evs[2].Kind != Join {
 		t.Fatalf("events = %v", evs)
 	}
-	if evs[1].Source != "detector" {
+	if evs[1].Source != "recovery" {
 		t.Fatalf("leave source = %q, want the first reporter", evs[1].Source)
 	}
 	if m.Leaves() != 1 {

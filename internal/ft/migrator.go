@@ -84,11 +84,6 @@ func MigrateClaims(c Claimer) MigrateOption {
 	return func(m *Migrator) { m.claimer = c }
 }
 
-// MigrateLogger records migration decisions on l.
-func MigrateLogger(l *slog.Logger) MigrateOption {
-	return func(m *Migrator) { m.logger = l }
-}
-
 // Migrator implements the paper's load-triggered migration extension
 // ("it is in principle possible to migrate a service from one host to
 // another one ... also due to a changing load situation"), in two modes:
@@ -104,7 +99,6 @@ type Migrator struct {
 	membership     *cluster.Membership
 	filter         func(naming.Offer) bool
 	claimer        Claimer
-	logger         *slog.Logger
 	minImprovement float64
 
 	// migrateMu serializes whole migration decisions so a Step racing a
@@ -176,8 +170,8 @@ func (m *Migrator) watch(ctx context.Context, ch <-chan cluster.Event, cancel fu
 			if ev.Kind != cluster.Degrading {
 				continue
 			}
-			if _, err := m.MoveOff(ctx, ev.Host); err != nil && m.logger != nil {
-				m.logger.Warn("ft: proactive migration failed",
+			if _, err := m.MoveOff(ctx, ev.Host); err != nil {
+				slog.Warn("ft: proactive migration failed",
 					"host", ev.Host, "trend", ev.Trend, "err", err)
 			}
 		}
@@ -224,10 +218,8 @@ func (m *Migrator) MoveOff(ctx context.Context, host string) (string, error) {
 	m.proactive.Add(1)
 	span.SetAttr("to_host", targetHost)
 	span.End()
-	if m.logger != nil {
-		m.logger.Info("ft: proactive migration",
-			"name", m.proxy.name.String(), "from", host, "to", targetHost)
-	}
+	slog.Info("ft: proactive migration",
+		"name", m.proxy.name.String(), "from", host, "to", targetHost)
 	return targetHost, nil
 }
 
@@ -253,8 +245,8 @@ func (m *Migrator) Step(ctx context.Context) (string, error) {
 		}
 	}
 	if curHost == "" {
-		// The current reference is not among the offers (e.g. obtained
-		// via a factory); nothing to compare against.
+		// The current reference is not among the offers (e.g. its offer
+		// was unbound); nothing to compare against.
 		return "", nil
 	}
 	curEff, ok := m.ranker.HostEffectiveSpeed(curHost)

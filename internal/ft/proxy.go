@@ -231,7 +231,7 @@ func (p *Proxy) caller() *orb.Caller {
 
 // Call performs op through the proxy: forward, checkpoint on success,
 // recover and replay on failure. Per-call options overlay the proxy's
-// policy — WithDeadline, WithIdempotent and friends pass straight to the
+// policy — WithDeadline, WithPriority and friends pass straight to the
 // call engine. It has the same shape as orb.Call, so switching a client
 // from the plain stub to the proxy is the one-line change the paper
 // advertises.

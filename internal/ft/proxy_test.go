@@ -3,11 +3,13 @@ package ft
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/cluster"
 	"repro/internal/naming"
 	"repro/internal/orb"
 )
@@ -86,12 +88,14 @@ type ftWorld struct {
 }
 
 // ftWorldOpts vary the fixture for the fault-injection tests: the
-// transport seams and interceptors of the client and of server A, and the
-// servant server A activates (Wrap(ctrA) when nil).
+// transport seams and interceptors of the client and of server A, the
+// servant server A activates (Wrap(ctrA) when nil), and the naming
+// registry's offer observer (installed before the two offers are bound).
 type ftWorldOpts struct {
-	client orb.Options
-	srvA   orb.Options
-	wrapA  func(*counterServant) orb.Servant
+	client        orb.Options
+	srvA          orb.Options
+	wrapA         func(*counterServant) orb.Servant
+	offerObserver func(n naming.Name, o naming.Offer, bound bool)
 }
 
 func newFTWorld(t *testing.T) *ftWorld {
@@ -114,6 +118,9 @@ func newFTWorldWith(t *testing.T, opts ftWorldOpts) *ftWorld {
 		t.Fatal(err)
 	}
 	reg := naming.NewRegistry()
+	if opts.offerObserver != nil {
+		reg.SetOfferObserver(opts.offerObserver)
+	}
 	w.nsSrv = naming.NewServant(reg, naming.RoundRobinSelector())
 	w.nsHub = naming.NewHub(w.services, reg, naming.HubOptions{})
 	w.nsHub.Start()
@@ -243,6 +250,59 @@ func TestProxyRecoversAcrossServerCrash(t *testing.T) {
 	// Server A's state is obsolete but untouched (it is dead).
 	if w.ctrA.value != 10 {
 		t.Fatalf("ctrA = %d", w.ctrA.value)
+	}
+}
+
+// TestRecoveryUnbindLeavesMembership follows a silent server death out of
+// the group over the wire: the proxy's recovery unbinds the dead offer,
+// the registry's offer observer turns the host's last offer going away
+// into one membership Leave, and a later report of the same death from
+// another source adds nothing.
+func TestRecoveryUnbindLeavesMembership(t *testing.T) {
+	membership := cluster.NewMembership()
+	tracker := membership.TrackOffers("naming")
+	w := newFTWorldWith(t, ftWorldOpts{
+		offerObserver: func(_ naming.Name, o naming.Offer, bound bool) {
+			if bound {
+				tracker.Bound(o.Host)
+			} else {
+				tracker.Unbound(o.Host)
+			}
+		},
+	})
+	if got := membership.Alive(); !slices.Equal(got, []string{"hostA", "hostB"}) {
+		t.Fatalf("alive = %v", got)
+	}
+	p := w.newProxy(Policy{CheckpointEvery: 1})
+	if _, err := inc(p, 10); err != nil { // round-robin: server A
+		t.Fatal(err)
+	}
+	w.adA.Close()
+	w.srvA.Shutdown()
+	if v, err := inc(p, 5); err != nil || v != 15 {
+		t.Fatalf("recovered inc = %d, %v", v, err)
+	}
+	if st := p.Stats(); st.Recoveries != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	if n := membership.Leaves(); n != 1 {
+		t.Fatalf("leaves = %d, want 1", n)
+	}
+	if got := membership.Alive(); !slices.Equal(got, []string{"hostB"}) {
+		t.Fatalf("alive = %v after hostA died", got)
+	}
+	membership.ReportDead("hostA", "winner")
+	if n := membership.Leaves(); n != 1 {
+		t.Fatalf("leaves = %d after a second report of the same death", n)
+	}
+
+	_, data, err := getFull(context.Background(), w.store, w.name.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeCounterState(t, data); got != w.ctrB.value {
+		t.Fatalf("store = %d, servant on B = %d", got, w.ctrB.value)
 	}
 }
 
@@ -616,46 +676,6 @@ func TestWrapperRestoreGarbageFails(t *testing.T) {
 	if !orb.IsUserException(err, ExCheckpointFailed) {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestFactoryCreatesServants(t *testing.T) {
-	w := newFTWorld(t)
-	factory := NewFactory(w.adB, "ctr", func() orb.Servant { return Wrap(&counterServant{}) })
-	factoryRef := w.adB.Activate("ctr-factory", factory)
-
-	ref, err := CreateViaFactory(context.Background(), w.client, factoryRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.IsNil() {
-		t.Fatal("nil ref from factory")
-	}
-	// The created servant is live and checkpointable.
-	if err := PushRestore(context.Background(), w.client, ref, mustCheckpoint(t, &counterServant{value: 9})); err != nil {
-		t.Fatal(err)
-	}
-	var v int64
-	if err := w.client.Call(context.Background(), ref, "get", nil, func(d *cdr.Decoder) error { v = d.GetInt64(); return d.Err() }); err != nil {
-		t.Fatal(err)
-	}
-	if v != 9 {
-		t.Fatalf("v = %d", v)
-	}
-	if len(factory.Created()) != 1 {
-		t.Fatalf("created = %d", len(factory.Created()))
-	}
-	if err := w.client.Call(context.Background(), factoryRef, "bogus", nil, nil); !orb.IsSystemException(err, orb.ExBadOperation) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func mustCheckpoint(t *testing.T, c Checkpointable) []byte {
-	t.Helper()
-	data, err := c.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 func TestStoreServiceRemote(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/orb"
 )
 
-// DefaultRepairTimeout bounds one background read-repair write.
-const DefaultRepairTimeout = 5 * time.Second
+// repairTimeout bounds one background read-repair write.
+const repairTimeout = 5 * time.Second
 
 // ReplicatedStore is a quorum client over N checkpoint store replicas,
 // removing the single point of failure the paper's storage service has
@@ -39,8 +39,6 @@ const DefaultRepairTimeout = 5 * time.Second
 // down, crashed, or partitioned.
 type ReplicatedStore struct {
 	replicas []Store
-	// repairTimeout bounds each background repair write.
-	repairTimeout time.Duration
 
 	mu      sync.Mutex
 	repairs sync.WaitGroup
@@ -58,40 +56,25 @@ type ReplicatedStats struct {
 	Repairs uint64
 }
 
-// ReplicatedOption customizes a ReplicatedStore.
-type ReplicatedOption func(*ReplicatedStore)
-
-// WithRepairTimeout overrides the background read-repair deadline.
-func WithRepairTimeout(d time.Duration) ReplicatedOption {
-	return func(r *ReplicatedStore) { r.repairTimeout = d }
-}
-
 // NewReplicatedStore builds a quorum client over replicas (local stores,
 // StoreClients, or any mix). At least one replica is required; an even
 // count works but tolerates no more failures than the next odd count
 // down.
-func NewReplicatedStore(replicas []Store, opts ...ReplicatedOption) (*ReplicatedStore, error) {
+func NewReplicatedStore(replicas []Store) (*ReplicatedStore, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("ft: replicated store needs at least one replica")
 	}
-	r := &ReplicatedStore{
-		replicas:      append([]Store(nil), replicas...),
-		repairTimeout: DefaultRepairTimeout,
-	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r, nil
+	return &ReplicatedStore{replicas: append([]Store(nil), replicas...)}, nil
 }
 
 // NewReplicatedStoreClient is the common wiring: a quorum client over
 // remote checkpointd replicas at refs, all invoked through o.
-func NewReplicatedStoreClient(o *orb.ORB, refs []orb.ObjectRef, opts ...ReplicatedOption) (*ReplicatedStore, error) {
+func NewReplicatedStoreClient(o *orb.ORB, refs []orb.ObjectRef) (*ReplicatedStore, error) {
 	stores := make([]Store, len(refs))
 	for i, ref := range refs {
 		stores[i] = NewStoreClient(o, ref)
 	}
-	return NewReplicatedStore(stores, opts...)
+	return NewReplicatedStore(stores)
 }
 
 var _ Store = (*ReplicatedStore)(nil)
@@ -272,7 +255,7 @@ func (r *ReplicatedStore) repair(key string, newest Checkpoint, results []getRes
 		r.repairs.Add(1)
 		go func(rep Store) {
 			defer r.repairs.Done()
-			rctx, cancel := context.WithTimeout(context.Background(), r.repairTimeout)
+			rctx, cancel := context.WithTimeout(context.Background(), repairTimeout)
 			defer cancel()
 			_ = rep.Put(rctx, key, newest)
 		}(rep)

@@ -146,9 +146,6 @@ func NewGroupCache(ad *orb.Adapter, ns WatchBinder, opts GroupCacheOptions) *Gro
 	return c
 }
 
-// Callback returns the listener reference pushes are delivered to.
-func (c *GroupCache) Callback() orb.ObjectRef { return c.callback }
-
 // Resubscribes returns how many watch re-registrations the cache has
 // performed after naming failovers.
 func (c *GroupCache) Resubscribes() uint64 { return c.resubscribes.Load() }

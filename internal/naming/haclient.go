@@ -147,9 +147,6 @@ func (c *Client) SetOnFailover(fn func(addr string)) {
 // with every replica unreachable.
 func (c *Client) Degraded() bool { return c.degraded.Load() }
 
-// Primary returns the address of the currently preferred endpoint.
-func (c *Client) Primary() string { return c.Ref().Addr }
-
 // ExportMetrics registers the failover counters with an obs registry
 // under the names the acceptance dashboards scrape.
 func (c *Client) ExportMetrics(reg *obs.Registry) {

@@ -11,11 +11,11 @@ import (
 )
 
 // Lease plumbing: offers bound with a TTL must be renewed or the
-// registry's sweeper unbinds them. Leases complement the ping-based
-// ft.Detector: the detector catches servers that died (pings fail), the
-// sweeper catches the partition case where pings still succeed but the
-// server can no longer reach the naming service to renew — either way
-// the registry stops handing out the reference.
+// registry's sweeper unbinds them. The lease is the heartbeat: a server
+// that died silently, or can no longer reach the naming service, stops
+// renewing and its offer expires. A dead server that a client trips over
+// first leaves sooner, through the FT proxy's recovery unbind — either
+// way the registry stops handing out the reference.
 
 // SweeperOptions tune a Sweeper.
 type SweeperOptions struct {

@@ -310,9 +310,6 @@ var defaultAnomalies atomic.Pointer[Anomalies]
 // anomaly sink.
 func SetDefaultAnomalies(a *Anomalies) { defaultAnomalies.Store(a) }
 
-// DefaultAnomalies returns the process-wide sink, or nil.
-func DefaultAnomalies() *Anomalies { return defaultAnomalies.Load() }
-
 // Signal reports one occurrence of kind to the default sink, if any.
 // This is the hot-path entry point: with no sink installed it is one
 // atomic load.

@@ -49,20 +49,19 @@ type Observer struct {
 	rpcErrors     *CounterVec
 }
 
+// ringSize bounds an Observer's completed-span ring.
+const ringSize = 2048
+
 // SampleNone disables head sampling entirely (metrics and the flight
 // recorder stay on; no spans are recorded).
 const SampleNone = -1
 
 // ObserverOptions tunes NewObserverOpts. The zero value means: sample
-// every trace, default ring and recorder sizes, no anomaly dumps.
+// every trace, no anomaly dumps.
 type ObserverOptions struct {
 	// Sample is the head-based trace sampling fraction in (0,1]; 0 means
 	// the default (1: every trace). Use SampleNone for no sampling.
 	Sample float64
-	// RingSize bounds the completed-span ring (default 2048).
-	RingSize int
-	// FlightRecorderSize bounds the black-box ring (default 4096).
-	FlightRecorderSize int
 	// Anomaly configures the anomaly sink (burst rules, dump directory).
 	Anomaly AnomalyOptions
 }
@@ -78,15 +77,9 @@ func NewObserverOpts(service string, opts ObserverOptions) *Observer {
 	if opts.Sample == 0 {
 		opts.Sample = 1
 	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = 2048
-	}
-	if opts.FlightRecorderSize <= 0 {
-		opts.FlightRecorderSize = DefaultFlightRecorderSize
-	}
 	reg := NewRegistry()
-	ring := NewRing(opts.RingSize)
-	flight := NewFlightRecorder(opts.FlightRecorderSize)
+	ring := NewRing(ringSize)
+	flight := NewFlightRecorder(DefaultFlightRecorderSize)
 	ob := &Observer{
 		Service:   service,
 		Tracer:    NewTracer(service, WithRing(ring), WithSample(opts.Sample)),
@@ -114,9 +107,6 @@ func NewObserverOpts(service string, opts ObserverOptions) *Observer {
 
 // ClientLatency returns the outbound latency histogram family.
 func (ob *Observer) ClientLatency() *HistogramVec { return ob.clientLatency }
-
-// ServerLatency returns the dispatch latency histogram family.
-func (ob *Observer) ServerLatency() *HistogramVec { return ob.serverLatency }
 
 // obsCall is the per-outbound-call state the observer pins in the
 // context between RequestSent and ReplyReceived. Pooled so the

@@ -50,7 +50,7 @@ type SpanContext struct {
 }
 
 // Attr is one key/value annotation on a span or event. Values are
-// strings; use the String/Int/Bool/Dur constructors.
+// strings; use the String/Int/Bool constructors.
 type Attr struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
@@ -64,9 +64,6 @@ func Int(key string, value int64) Attr { return Attr{Key: key, Value: fmt.Sprint
 
 // Bool builds a boolean attribute.
 func Bool(key string, value bool) Attr { return Attr{Key: key, Value: fmt.Sprintf("%t", value)} }
-
-// Dur builds a duration attribute.
-func Dur(key string, value time.Duration) Attr { return Attr{Key: key, Value: value.String()} }
 
 // Event is a timestamped point annotation on a span (e.g. the moment a
 // COMM_FAILURE was detected, or a recovery completed).

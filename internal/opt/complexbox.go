@@ -5,13 +5,20 @@ import (
 	"math/rand"
 )
 
+// Box's recommended constants for the complex method.
+const (
+	// populationFactor sets the complex size k = populationFactor·n
+	// (the population is at least n+1).
+	populationFactor = 2
+	// alpha is the over-reflection coefficient.
+	alpha = 1.3
+	// maxRetractions bounds the move-toward-centroid retries for a
+	// reflected point that stays worst.
+	maxRetractions = 10
+)
+
 // ComplexBoxOptions tune the Complex Box optimizer.
 type ComplexBoxOptions struct {
-	// PopulationFactor sets the complex size k = factor·n (Box recommends
-	// 2; minimum population is n+1). Default 2.
-	PopulationFactor int
-	// Alpha is the over-reflection coefficient (Box recommends 1.3).
-	Alpha float64
 	// MaxIterations bounds the main loop; it is the worker's stopping
 	// criterion the paper varies in Table 1. Default 1000.
 	MaxIterations int
@@ -23,14 +30,11 @@ type ComplexBoxOptions struct {
 	Seed int64
 	// Start optionally seeds the complex with a known point.
 	Start []float64
-	// MaxRetractions bounds the move-toward-centroid retries for a
-	// reflected point that stays worst. Default 10.
-	MaxRetractions int
 	// Feasible, when set, is Box's implicit constraint test: candidate
 	// points violating it are pulled toward the centroid until feasible
 	// (initial points are resampled). The feasible region must be convex
 	// for the retraction to be guaranteed to terminate; as a safeguard an
-	// infeasible point is rejected after MaxRetractions pulls.
+	// infeasible point is rejected after maxRetractions pulls.
 	Feasible func(x []float64) bool
 	// Stop, when set, is polled before each main-loop iteration; returning
 	// true ends the run early with the best point found so far. Servants
@@ -40,17 +44,8 @@ type ComplexBoxOptions struct {
 }
 
 func (o ComplexBoxOptions) withDefaults() ComplexBoxOptions {
-	if o.PopulationFactor <= 0 {
-		o.PopulationFactor = 2
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = 1.3
-	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 1000
-	}
-	if o.MaxRetractions <= 0 {
-		o.MaxRetractions = 10
 	}
 	return o
 }
@@ -79,7 +74,7 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 	}
 	opts = opts.withDefaults()
 	n := bounds.Dim()
-	k := opts.PopulationFactor * n
+	k := populationFactor * n
 	if k < n+1 {
 		k = n + 1
 	}
@@ -175,7 +170,7 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 		// Over-reflection of the worst point through the centroid.
 		cand := make([]float64, n)
 		for i := 0; i < n; i++ {
-			cand[i] = c[i] + opts.Alpha*(c[i]-points[worst][i])
+			cand[i] = c[i] + alpha*(c[i]-points[worst][i])
 		}
 		bounds.Clip(cand)
 		// Pull an implicitly infeasible candidate halfway toward the
@@ -183,7 +178,7 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 		// feasible, keep the old worst point for this iteration.
 		okPoint := true
 		for r := 0; !feasible(cand); r++ {
-			if r >= opts.MaxRetractions {
+			if r >= maxRetractions {
 				okPoint = false
 				break
 			}
@@ -196,7 +191,7 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 		}
 		f := eval(cand)
 		// Retract toward the centroid while the candidate stays worst.
-		for r := 0; f > values[worst] && r < opts.MaxRetractions; r++ {
+		for r := 0; f > values[worst] && r < maxRetractions; r++ {
 			for i := 0; i < n; i++ {
 				cand[i] = (cand[i] + c[i]) / 2
 			}

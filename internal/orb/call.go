@@ -23,24 +23,6 @@ func WithDeadline(d time.Duration) CallOption {
 	return func(o *CallOptions) { o.Deadline = d }
 }
 
-// WithRetryBudget grants the resilient-call engine n recover-and-replay
-// rounds after the first failed attempt.
-func WithRetryBudget(n int) CallOption {
-	return func(o *CallOptions) { o.RetryBudget = n }
-}
-
-// WithBackoff spaces successive replay rounds.
-func WithBackoff(b Backoff) CallOption {
-	return func(o *CallOptions) { o.Backoff = b }
-}
-
-// WithIdempotent marks the operation safe to replay even when a failure
-// leaves the first attempt's outcome unknown (COMM_FAILURE after the
-// request was written).
-func WithIdempotent() CallOption {
-	return func(o *CallOptions) { o.Idempotent = true }
-}
-
 // WithFollowForwards makes the call transparently follow
 // LOCATION_FORWARD replies (bounded, to break forwarding loops).
 func WithFollowForwards() CallOption {

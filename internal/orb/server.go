@@ -209,13 +209,6 @@ func (a *Adapter) Resolve(key string) (Servant, bool) {
 	return s, ok
 }
 
-// ServantCount returns the number of active servants.
-func (a *Adapter) ServantCount() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.servants)
-}
-
 // Close stops the listener, notifies connected clients with a GIOP
 // CloseConnection message, closes all server-side connections and waits
 // for in-flight dispatches. Clients observe COMM_FAILURE on their next

@@ -218,7 +218,7 @@ func (m *Manager) runElastic(ctx context.Context) (*Result, error) {
 		if ctx.Err() != nil {
 			return nil, err
 		}
-		// A real error (a worker died faster than the detector noticed, a
+		// A real error (a worker died before its offer left the group, a
 		// placement raced an expiring offer): retry freely as long as the
 		// membership keeps changing; against an unchanged pool allow a few
 		// grace-bounded retries, then surface the error.

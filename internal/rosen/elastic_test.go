@@ -10,7 +10,7 @@ import (
 )
 
 // elasticDeploy boots a plain-naming NOW and a membership view the test
-// scripts directly (the integration soak feeds it from real detectors;
+// scripts directly (the integration soak feeds it from naming offer lifecycle;
 // unit tests drive it by hand for determinism).
 func elasticDeploy(t *testing.T, hosts int) (*deployment, *cluster.Membership) {
 	t.Helper()
