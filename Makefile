@@ -6,7 +6,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 ## check: everything CI's check job runs — formatting, vet, build,
-## race-enabled tests, the connection-pool stress run, the benchmark
+## race-enabled tests, the pool and FT recovery stress runs, the benchmark
 ## harness's own vet and tests, every fuzz target for FUZZTIME, and
 ## every example program run to the end.
 check: fmt vet build race stress bench-check fuzz examples
@@ -30,9 +30,13 @@ race:
 	$(GO) test -race ./...
 
 ## stress: the client connection pool's reconnect races, 2000 runs each —
-## a pooled connection whose death is recorded must never reach a caller.
+## a pooled connection whose death is recorded must never reach a caller —
+## and the FT proxy's recovery races, 500 runs each: concurrent recovery
+## rests on the proxy's recoverMu and its one reference, and a throttled
+## server must never be taken for a crashed one.
 stress:
 	$(GO) test -run '^(TestReconnectAfterServerRestart|TestPooledConnWithRecordedDeathIsRedialed)$$' -count=2000 ./internal/orb
+	$(GO) test -run '^(TestProxyRecoversAcrossServerCrash|TestProxyConcurrentCallsDuringCrash|TestRequestProxyAsyncRecovery|TestAdmissionShedIsNotACrash)$$' -count=500 ./internal/ft
 
 ## bench-check: bench/ is a module of its own, so ./... does not reach it.
 bench-check:

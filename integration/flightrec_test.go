@@ -1,5 +1,5 @@
 // Flight-recorder chaos: an observed in-process deployment loses a
-// worker mid-run. The forced failover drives the client Caller's
+// worker mid-run. The forced failover drives the FT proxy's
 // recovery path, which signals the process-wide anomaly sink; the sink
 // auto-dumps the flight recorder to a JSON artifact. The assertions
 // check the black box actually captured the incident: records written
@@ -204,7 +204,7 @@ func TestFlightRecorderChaosDump(t *testing.T) {
 	wg.Wait()
 
 	// Kill the bound worker mid-run: the next proxied call hits
-	// COMM_FAILURE, the Caller recovers (re-resolve + restore + replay),
+	// COMM_FAILURE, the proxy recovers (re-resolve + restore + replay),
 	// and the recovery signal trips the anomaly sink.
 	victim.ad.Close()
 	victim.o.Shutdown()

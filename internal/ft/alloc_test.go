@@ -49,7 +49,7 @@ func allocsPerCall(calls int, f func()) (objects, bytes float64) {
 // call checkpointing after every call allocates, from the allocator's own
 // counters over a few hundred calls, no timing, every end included: the
 // servant, its ORB, the client, the proxy and a store service on an ORB of
-// its own. A call costs at most 22 objects, on a 528 B state as on a
+// its own. A call costs at most 19 objects, on a 528 B state as on a
 // 64 KiB one, and at most 1.5 times a 64 KiB state's size in bytes: the
 // servant's Checkpoint(), which its Wrapper keeps as the next delta base,
 // is the one copy left. The reply carries a delta of the one element that
@@ -65,8 +65,8 @@ func TestProxiedCallAllocationCeiling(t *testing.T) {
 		maxObjects float64
 		maxBytes   float64
 	}{
-		{64, 22, math.Inf(1)},
-		{8192, 22, 1.5 * (16 + 8*8192)},
+		{64, 19, math.Inf(1)},
+		{8192, 19, 1.5 * (16 + 8*8192)},
 	} {
 		srv := orb.New(orb.Options{Name: "alloc-srv"})
 		t.Cleanup(srv.Shutdown)

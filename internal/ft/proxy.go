@@ -47,17 +47,18 @@ type Policy struct {
 	// the state — or what changed of it — back, so a checkpointed call is
 	// two requests: the call and the store put.
 	CheckpointEvery int
-	// MaxRecoveries bounds recovery attempts per call (default 3). It maps
-	// onto the call engine's retry budget.
+	// MaxRecoveries bounds recovery attempts per call (default 3).
 	MaxRecoveries int
 	// Backoff spaces successive recovery rounds. Zero means immediate
 	// replay (the paper's behaviour).
 	Backoff orb.Backoff
 	// RecoverOn classifies errors as triggering recovery. The default
 	// recovers on COMM_FAILURE (the paper's trigger) and OBJECT_NOT_EXIST
-	// (server restarted without state) — replay is safe for ft proxies
-	// regardless of idempotency because the restored checkpoint rewinds
-	// the server to the pre-call state.
+	// (server restarted without state) and on nothing else: a QoS
+	// admission shed, for one, goes back to the caller with its
+	// retry-after hint, since a throttled server is alive. Replay is safe
+	// for ft proxies regardless of idempotency because the restored
+	// checkpoint rewinds the server to the pre-call state.
 	RecoverOn func(error) bool
 	// StrictCheckpoint makes a failed post-call checkpoint — a reply that
 	// came back without the state it was asked for, or a store put that
@@ -71,9 +72,15 @@ func (p Policy) withDefaults() Policy {
 		p.MaxRecoveries = 3
 	}
 	if p.RecoverOn == nil {
-		p.RecoverOn = orb.DefaultRetryOn
+		p.RecoverOn = crashed
 	}
 	return p
+}
+
+// crashed is the default Policy.RecoverOn: the server is gone, or came
+// back without the object.
+func crashed(err error) bool {
+	return orb.IsCommFailure(err) || orb.IsSystemException(err, orb.ExObjectNotExist)
 }
 
 // Stats are cumulative proxy counters.
@@ -88,7 +95,7 @@ type Stats struct {
 }
 
 // RecoveryError reports that a call failed and every recovery attempt was
-// exhausted. It is the call engine's retry error under its historical ft
+// exhausted. It is the ORB replay loop's error under its historical ft
 // name, so errors.As works across both layers.
 type RecoveryError = orb.RetryError
 
@@ -100,9 +107,9 @@ type RecoveryError = orb.RetryError
 // itself (see Wrapper): a reply that reports success carries the state
 // that call produced, so there is no moment at which the client knows of
 // a success the store cannot reproduce except the put itself. The
-// forward/recover/replay loop is the ORB's resilient call engine; the
-// proxy contributes the recovery step (unbind dead offer, re-resolve,
-// restore checkpoint). Proxies are safe for concurrent use; recovery is
+// recover-and-replay loop is the ORB's (orb.Caller); the proxy
+// contributes the recovery step (unbind dead offer, re-resolve, restore
+// checkpoint). Proxies are safe for concurrent use; recovery is
 // serialized, and snapshots are stored in the order the servant captured
 // them whatever order their replies arrive in.
 type Proxy struct {
@@ -113,6 +120,9 @@ type Proxy struct {
 	store    Store
 	unbinder Unbinder
 	policy   Policy
+	// replay is the recover-and-replay loop every call runs under, built
+	// from policy once.
+	replay orb.Caller
 
 	mu        sync.Mutex
 	ref       orb.ObjectRef
@@ -173,6 +183,13 @@ func NewProxy(ctx context.Context, o *orb.ORB, name naming.Name, resolver Resolv
 	for _, opt := range opts {
 		opt(p)
 	}
+	p.replay = orb.Caller{
+		ORB:     o,
+		Recover: p.recoverFrom,
+		RetryOn: p.policy.RecoverOn,
+		Budget:  p.policy.MaxRecoveries,
+		Backoff: p.policy.Backoff,
+	}
 	if p.ref.IsNil() {
 		ref, err := resolver.Resolve(ctx, name)
 		if err != nil {
@@ -206,64 +223,47 @@ func (p *Proxy) Stats() Stats {
 	return p.stats
 }
 
-// caller builds the per-call engine configuration: the proxy's recovery
-// sequence as the engine's Recover hook, its policy as the retry budget.
-func (p *Proxy) caller() *orb.Caller {
-	c := &orb.Caller{
-		ORB: p.orb,
-		Recover: func(ctx context.Context, dead orb.ObjectRef, cause error) (orb.ObjectRef, error) {
-			return p.recoverFrom(ctx, dead)
-		},
-		RetryOn: p.policy.RecoverOn,
-		OnRetry: func(round int, cause error) {
-			p.mu.Lock()
-			p.stats.Replays++
-			p.mu.Unlock()
-		},
-		Opts: orb.CallOptions{
-			RetryBudget: p.policy.MaxRecoveries,
-			Backoff:     p.policy.Backoff,
-		},
-	}
-	c.SetRef(p.Ref())
-	return c
-}
-
 // Call performs op through the proxy: forward, checkpoint on success,
-// recover and replay on failure. Per-call options overlay the proxy's
-// policy — WithDeadline, WithPriority and friends pass straight to the
-// call engine. It has the same shape as orb.Call, so switching a client
-// from the plain stub to the proxy is the one-line change the paper
-// advertises.
+// recover and replay on failure. Per-call options — WithDeadline,
+// WithPriority and friends — apply to every attempt. It has the same
+// shape as orb.Call, so switching a client from the plain stub to the
+// proxy is the one-line change the paper advertises.
 func (p *Proxy) Call(ctx context.Context, op string, writeArgs func(*cdr.Encoder), readReply func(*cdr.Decoder) error, opts ...orb.CallOption) error {
 	sctx, span := obs.StartSpan(ctx, "ft.invoke",
 		obs.String("op", op), obs.String("name", p.key))
-	c := p.caller()
-	c.Opts.Apply(opts...)
+	var co orb.CallOptions
+	if len(opts) > 0 {
+		co = orb.NewCallOptions(opts...)
+	}
+	// A LOCATION_FORWARD is followed within the attempt, so a recovery
+	// always starts from the proxy's own reference.
+	co.FollowForwards = true
 	// mark is allocated only for a marked call, so an unmarked one — every
 	// call of a proxy that never checkpoints — pays nothing for the seam.
 	var mark *ckptMark
 	if p.checkpointDue() {
-		// The engine re-applies its options on every attempt, so a replay
-		// against the recovered server is marked too.
+		// Every attempt sends the same options, so a replay against the
+		// recovered server is marked too.
 		mark = &ckptMark{reply: giop.ServiceContext{ID: giop.SCCheckpoint}}
-		c.Opts.RequestContext = giop.ServiceContext{ID: giop.SCCheckpoint, Data: p.baseMark(mark.base[:])}
-		c.Opts.ReplyContext = &mark.reply
+		co.RequestContext = giop.ServiceContext{ID: giop.SCCheckpoint, Data: p.baseMark(mark.base[:])}
+		co.ReplyContext = &mark.reply
 	}
-	err := c.Call(sctx, op, writeArgs, readReply)
+	ref, err := p.replay.Do(sctx, op, p.Ref(), func(ctx context.Context, ref orb.ObjectRef) error {
+		return p.orb.CallOpts(ctx, ref, op, writeArgs, readReply, co)
+	})
 	if err == nil {
 		var snap []byte
 		if mark != nil {
 			snap = mark.reply.Data
 		}
-		err = p.afterSuccess(sctx, c.Ref(), op, mark != nil, snap)
+		err = p.afterSuccess(sctx, ref, op, mark != nil, snap)
 	}
 	span.EndErr(err)
 	return err
 }
 
 // ckptMark is what a marked call carries, in one allocation: the bytes of
-// its request mark and the reply context the call engine fills in.
+// its request mark and the reply context the ORB fills in.
 type ckptMark struct {
 	reply giop.ServiceContext
 	base  [markLen]byte
@@ -436,16 +436,22 @@ func (p *Proxy) storePut(ctx context.Context, ref orb.ObjectRef, cp Checkpoint, 
 // recoverFrom performs the paper's recovery sequence starting from the
 // dead reference: drop the dead offer from the naming service, resolve a
 // fresh reference (the load-aware naming service places the replacement),
-// and restore the last checkpoint into it.
+// and restore the last checkpoint into it. It is the replay loop's
+// Recover hook: the call is replayed against the reference it returns, so
+// each successful return counts a replay.
 func (p *Proxy) recoverFrom(ctx context.Context, dead orb.ObjectRef) (orb.ObjectRef, error) {
 	p.recoverMu.Lock()
 	defer p.recoverMu.Unlock()
 
 	// Another goroutine may have completed recovery while we waited for
 	// the lock; reuse its fresh reference instead of recovering twice.
-	if cur := p.Ref(); cur != dead {
+	p.mu.Lock()
+	if cur := p.ref; cur != dead {
+		p.stats.Replays++
+		p.mu.Unlock()
 		return cur, nil
 	}
+	p.mu.Unlock()
 
 	ctx, span := obs.StartSpan(ctx, "ft.recover",
 		obs.String("name", p.key), obs.String("dead", dead.Addr))
@@ -473,6 +479,7 @@ func (p *Proxy) recoverFrom(ctx context.Context, dead orb.ObjectRef) (orb.Object
 	p.mu.Lock()
 	p.ref = fresh
 	p.stats.Recoveries++
+	p.stats.Replays++
 	p.mu.Unlock()
 	span.End()
 	return fresh, nil

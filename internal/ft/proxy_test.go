@@ -426,6 +426,72 @@ func TestProxyRecoveryExhausted(t *testing.T) {
 	}
 }
 
+// TestAdmissionShedIsNotACrash: a throttled server is alive. A call its
+// admission control sheds comes back at once with the server's
+// retry-after hint; the proxy neither recovers nor unbinds the offer, and
+// a call after the hint succeeds on the same server. Server A admits ten
+// calls a second, so the hint is at most 100 ms and a stress run of this
+// test stays short.
+func TestAdmissionShedIsNotACrash(t *testing.T) {
+	w := newFTWorldWith(t, ftWorldOpts{srvA: orb.Options{QoS: orb.QoSOptions{TenantRate: 10, TenantBurst: 1}}})
+	p := w.newProxy(Policy{CheckpointEvery: 1}, WithInitialRef(w.refA))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	call := func() (time.Duration, error) {
+		start := time.Now()
+		err := p.Call(ctx, "inc", func(e *cdr.Encoder) { e.PutInt64(1) }, nil)
+		return time.Since(start), err
+	}
+
+	var (
+		shed error
+		took time.Duration
+		ok   int64
+	)
+	for i := 0; i < 20 && shed == nil; i++ {
+		var err error
+		if took, err = call(); err == nil {
+			ok++
+		} else {
+			shed = err
+		}
+	}
+	offers, err := w.naming.ListOffers(context.Background(), w.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shed == nil {
+		t.Fatalf("no call of %d was shed: stats %+v, %d offers left", ok, p.Stats(), len(offers))
+	}
+	if !orb.IsAdmissionShed(shed) {
+		t.Fatalf("err = %v, want an admission shed", shed)
+	}
+	hint := orb.RetryAfterHint(shed)
+	if hint <= 0 {
+		t.Fatalf("shed carries no retry-after hint: %v", shed)
+	}
+	if took >= hint/2 {
+		t.Fatalf("shed call took %v against a %v hint: the proxy waited instead of returning it", took, hint)
+	}
+	if st := p.Stats(); st.Recoveries != 0 || st.Replays != 0 {
+		t.Fatalf("a shed triggered recovery: stats %+v", st)
+	}
+	if len(offers) != 2 {
+		t.Fatalf("offers = %d after a shed, want both still bound", len(offers))
+	}
+	if p.Ref() != w.refA {
+		t.Fatalf("proxy moved to %v after a shed", p.Ref())
+	}
+
+	time.Sleep(hint)
+	if _, err := call(); err != nil {
+		t.Fatalf("call after the retry-after hint: %v", err)
+	}
+	if p.Ref() != w.refA || w.ctrA.value != ok+1 || w.ctrB.value != 0 {
+		t.Fatalf("after the hint: ref %v, A=%d (want %d), B=%d (want 0)", p.Ref(), w.ctrA.value, ok+1, w.ctrB.value)
+	}
+}
+
 func TestProxyEpochAdoption(t *testing.T) {
 	w := newFTWorld(t)
 	// Simulate a previous proxy incarnation having stored epoch 9.

@@ -78,17 +78,16 @@ func (r *RequestProxy) PollResponse() bool {
 
 // GetResponse waits for the response, driving checkpoint-on-success and
 // recover-and-replay-on-failure exactly like Proxy.Call — both run the
-// same call engine; here each replay re-sends the retained argument
-// stream asynchronously against the recovered server.
+// proxy's one replay loop; here each replay re-sends the retained argument
+// stream asynchronously against the recovered server. Like a plain
+// orb.Request, it follows no LOCATION_FORWARD.
 func (r *RequestProxy) GetResponse(readReply func(*cdr.Decoder) error) error {
 	if r.req == nil {
 		return &orb.SystemException{Kind: orb.ExBadOperation, Detail: "GetResponse before Send"}
 	}
 	p := r.proxy
-	c := p.caller()
-	c.SetRef(r.req.Ref())
 	first := true
-	err := c.Do(r.ctx, r.op, func(_ context.Context, ref orb.ObjectRef) error {
+	ref, err := p.replay.Do(r.ctx, r.op, r.req.Ref(), func(_ context.Context, ref orb.ObjectRef) error {
 		if !first {
 			r.send(ref)
 		}
@@ -96,7 +95,7 @@ func (r *RequestProxy) GetResponse(readReply func(*cdr.Decoder) error) error {
 		return r.req.GetResponse(readReply)
 	})
 	if err == nil {
-		err = p.afterSuccess(r.ctx, c.Ref(), r.op, r.marked, r.req.ReplyContext(giop.SCCheckpoint))
+		err = p.afterSuccess(r.ctx, ref, r.op, r.marked, r.req.ReplyContext(giop.SCCheckpoint))
 	}
 	r.span.EndErr(err)
 	return err

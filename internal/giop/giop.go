@@ -166,9 +166,9 @@ const (
 	SCQoS uint32 = 0x514f5331 // "QOS1"
 	// SCRetryAfter rides on admission-rejected replies: a uint64
 	// nanosecond hint telling the caller how long to wait before
-	// reoffering the request. The resilient-call engine folds it into its
-	// backoff schedule, so shed traffic spreads out instead of hammering
-	// an overloaded adapter.
+	// reoffering the request. The shed goes back to the caller with the
+	// hint, and callers that back off by it (the QoS soak's clients)
+	// spread out instead of hammering an overloaded adapter.
 	SCRetryAfter uint32 = 0x52545259 // "RTRY"
 	// SCCheckpoint makes the servant's state ride the business reply. On
 	// a request it is a mark: "send your state back with the answer",
@@ -396,11 +396,6 @@ func (m *Message) encodePrefix(e *cdr.Encoder) (hasBody bool) {
 	return true
 }
 
-// decodeBody parses the type-specific portion into m.
-func (m *Message) decodeBody(data []byte) error {
-	return m.decodeBodyIn(data, nil)
-}
-
 // getString reads a string, interning it when it is non-nil so the
 // request hot path reuses one canonical string per object key/operation
 // instead of allocating a fresh copy per frame.
@@ -411,8 +406,9 @@ func getString(d *cdr.Decoder, it *Interner) string {
 	return it.Intern(d.GetStringBytes())
 }
 
-// decodeBodyIn is decodeBody with an optional string Interner; pooled
-// messages additionally reuse their retained Contexts capacity.
+// decodeBodyIn parses the type-specific portion into m, interning
+// strings through it when it is non-nil; pooled messages additionally
+// reuse their retained Contexts capacity.
 func (m *Message) decodeBodyIn(data []byte, it *Interner) error {
 	d := cdr.AcquireDecoder(data)
 	defer d.Release()
@@ -543,74 +539,3 @@ func Write(w io.Writer, m *Message) error {
 // ErrOrphanFragment is reported when a MsgFragment arrives without a
 // preceding fragmented message.
 var ErrOrphanFragment = errors.New("giop: fragment without initial message")
-
-// hdrPool recycles header scratch arrays: reading into a stack array
-// through the io.Reader interface forces it to the heap, so readOne
-// borrows a pooled one instead of allocating per message.
-var hdrPool = sync.Pool{New: func() any { return new([HeaderSize]byte) }}
-
-// readOne reads one raw protocol message: its type, flags and body.
-func readOne(r io.Reader) (MsgType, byte, []byte, error) {
-	hp := hdrPool.Get().(*[HeaderSize]byte)
-	defer hdrPool.Put(hp)
-	hdr := hp[:]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, 0, nil, ErrShortHeader
-		}
-		return 0, 0, nil, err
-	}
-	if [4]byte(hdr[:4]) != Magic {
-		return 0, 0, nil, ErrBadMagic
-	}
-	if hdr[4] != Version {
-		return 0, 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
-	}
-	typ := MsgType(hdr[5])
-	if typ > MsgFragment {
-		return 0, 0, nil, fmt.Errorf("giop: unknown message type %d", hdr[5])
-	}
-	n := uint32(hdr[8])<<24 | uint32(hdr[9])<<16 | uint32(hdr[10])<<8 | uint32(hdr[11])
-	if n > MaxMessageSize {
-		return 0, 0, nil, ErrTooBig
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, 0, nil, err
-	}
-	return typ, hdr[6], body, nil
-}
-
-// Read decodes the next protocol message from r, transparently
-// reassembling fragment trains.
-func Read(r io.Reader) (*Message, error) {
-	typ, flags, body, err := readOne(r)
-	if err != nil {
-		return nil, err
-	}
-	if typ == MsgFragment {
-		return nil, ErrOrphanFragment
-	}
-	for flags&flagMoreFragments != 0 {
-		ft, fFlags, chunk, err := readOne(r)
-		if err != nil {
-			return nil, err
-		}
-		if ft != MsgFragment {
-			return nil, fmt.Errorf("giop: expected Fragment continuation, got %v", ft)
-		}
-		if len(body)+len(chunk) > MaxMessageSize {
-			return nil, ErrTooBig
-		}
-		body = append(body, chunk...)
-		flags = fFlags
-	}
-	m := &Message{Type: typ}
-	if err := m.decodeBody(body); err != nil {
-		return nil, fmt.Errorf("giop: decoding %v: %w", m.Type, err)
-	}
-	return m, nil
-}

@@ -188,6 +188,76 @@ func TestLyingHeaderCannotForceAllocation(t *testing.T) {
 	}
 }
 
+// readOne reads one raw protocol message: its type, flags and body.
+func readOne(r io.Reader) (MsgType, byte, []byte, error) {
+	hdr := make([]byte, HeaderSize)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return 0, 0, nil, ErrShortHeader
+		}
+		return 0, 0, nil, err
+	}
+	if [4]byte(hdr[:4]) != Magic {
+		return 0, 0, nil, ErrBadMagic
+	}
+	if hdr[4] != Version {
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
+	}
+	typ := MsgType(hdr[5])
+	if typ > MsgFragment {
+		return 0, 0, nil, fmt.Errorf("giop: unknown message type %d", hdr[5])
+	}
+	n := uint32(hdr[8])<<24 | uint32(hdr[9])<<16 | uint32(hdr[10])<<8 | uint32(hdr[11])
+	if n > MaxMessageSize {
+		return 0, 0, nil, ErrTooBig
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, nil, err
+	}
+	return typ, hdr[6], body, nil
+}
+
+// Read decodes the next protocol message from r, transparently
+// reassembling fragment trains: the reference reader, one message and
+// one allocation per frame, that the tests hold FrameReader to.
+func Read(r io.Reader) (*Message, error) {
+	typ, flags, body, err := readOne(r)
+	if err != nil {
+		return nil, err
+	}
+	if typ == MsgFragment {
+		return nil, ErrOrphanFragment
+	}
+	for flags&flagMoreFragments != 0 {
+		ft, fFlags, chunk, err := readOne(r)
+		if err != nil {
+			return nil, err
+		}
+		if ft != MsgFragment {
+			return nil, fmt.Errorf("giop: expected Fragment continuation, got %v", ft)
+		}
+		if len(body)+len(chunk) > MaxMessageSize {
+			return nil, ErrTooBig
+		}
+		body = append(body, chunk...)
+		flags = fFlags
+	}
+	m := &Message{Type: typ}
+	if err := m.decodeBodyIn(body, nil); err != nil {
+		return nil, fmt.Errorf("giop: decoding %v: %w", m.Type, err)
+	}
+	return m, nil
+}
+
+// decodeBody parses the type-specific portion into m.
+func (m *Message) decodeBody(data []byte) error {
+	return m.decodeBodyIn(data, nil)
+}
+
 // rawUnit is one logical message as it sits on the wire: its kind and its
 // reassembled wire body, before decoding.
 type rawUnit struct {

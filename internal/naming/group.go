@@ -64,8 +64,6 @@ type GroupCacheOptions struct {
 	// sidelined before Picks may try it again, bounding the damage of a
 	// false positive until the authoritative push arrives (default 10s).
 	DeadMemberTTL time.Duration
-	// Logger receives subscription diagnostics (default slog.Default()).
-	Logger *slog.Logger
 	// OnApply, when set, observes every accepted membership update
 	// (tests, metrics hooks). Called outside the cache lock.
 	OnApply func(name Name, epoch uint64, members int)
@@ -127,9 +125,6 @@ func NewGroupCache(ad *orb.Adapter, ns WatchBinder, opts GroupCacheOptions) *Gro
 	}
 	if opts.DeadMemberTTL <= 0 {
 		opts.DeadMemberTTL = 10 * time.Second
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -310,7 +305,7 @@ func (c *GroupCache) rewatchAll(counter *atomic.Uint64) bool {
 		cancel()
 		if err != nil {
 			ok = false
-			c.opts.Logger.Debug("naming: re-watch failed", "name", n.String(), "err", err)
+			slog.Debug("naming: re-watch failed", "name", n.String(), "err", err)
 			continue
 		}
 		counter.Add(1)

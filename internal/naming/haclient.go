@@ -206,8 +206,8 @@ func failoverErr(err error) bool {
 }
 
 // errAllReplicasDown is returned when no endpoint produced an answer. It
-// is a COMM_FAILURE so upper layers (ft proxies, Caller retry
-// classifiers) treat it exactly like a single dead nameserver.
+// is a COMM_FAILURE so upper layers (ft proxies' recovery classifiers)
+// treat it exactly like a single dead nameserver.
 func errAllReplicasDown(last error) error {
 	return &orb.SystemException{Kind: orb.ExCommFailure, Detail: fmt.Sprintf("naming: no replica reachable (last: %v)", last)}
 }

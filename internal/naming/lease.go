@@ -21,10 +21,6 @@ import (
 type SweeperOptions struct {
 	// Period is the sweep interval (default 500ms).
 	Period time.Duration
-	// OnEvict, when set, observes every eviction (tests, metrics hooks).
-	OnEvict func(ExpiredOffer)
-	// Logger receives one line per eviction (default slog.Default()).
-	Logger *slog.Logger
 }
 
 // Sweeper periodically expires leased offers from a Registry.
@@ -45,9 +41,6 @@ func NewSweeper(reg *Registry, opts SweeperOptions) *Sweeper {
 	if opts.Period <= 0 {
 		opts.Period = 500 * time.Millisecond
 	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
-	}
 	return &Sweeper{reg: reg, opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
 }
 
@@ -60,12 +53,9 @@ func (s *Sweeper) Step() []ExpiredOffer {
 	evicted := s.reg.ExpireOffers()
 	for _, ev := range evicted {
 		s.evicted.Add(1)
-		s.opts.Logger.Info("naming: lease expired, offer evicted",
+		slog.Info("naming: lease expired, offer evicted",
 			"name", ev.Name.String(), "host", ev.Offer.Host,
 			"addr", ev.Offer.Ref.Addr, "ttl", ev.Offer.LeaseTTL.String())
-		if s.opts.OnEvict != nil {
-			s.opts.OnEvict(ev)
-		}
 	}
 	return evicted
 }

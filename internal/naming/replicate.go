@@ -28,8 +28,6 @@ type ReplicatorOptions struct {
 	Period time.Duration
 	// PushTimeout bounds one push to one peer (default: Period).
 	PushTimeout time.Duration
-	// Logger receives replication diagnostics (default slog.Default()).
-	Logger *slog.Logger
 }
 
 // replPeer is one replication target. The peer's reference may live in a
@@ -82,9 +80,6 @@ func NewReplicator(o *orb.ORB, reg *Registry, peerSpecs []string, opts Replicato
 	}
 	if opts.PushTimeout <= 0 {
 		opts.PushTimeout = opts.Period
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
 	}
 	r := &Replicator{orb: o, reg: reg, opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
 	for _, spec := range peerSpecs {
@@ -143,7 +138,7 @@ func (r *Replicator) Step(ctx context.Context) {
 		cancel()
 		if err != nil {
 			r.pushErrors.Add(1)
-			r.opts.Logger.Debug("naming: replication push failed", "peer", p.spec, "err", err)
+			slog.Debug("naming: replication push failed", "peer", p.spec, "err", err)
 			continue
 		}
 		r.pushes.Add(1)
@@ -154,7 +149,7 @@ func (r *Replicator) Step(ctx context.Context) {
 		if !adopted && peerEpoch > epoch {
 			// The peer is ahead: it will push to us shortly. Nothing to do —
 			// adoption is one-directional per push.
-			r.opts.Logger.Debug("naming: peer ahead", "peer", p.spec, "peer_epoch", peerEpoch, "local_epoch", epoch)
+			slog.Debug("naming: peer ahead", "peer", p.spec, "peer_epoch", peerEpoch, "local_epoch", epoch)
 		}
 	}
 }

@@ -73,14 +73,15 @@ func getLeases(d *cdr.Decoder) ([]OfferLease, error) {
 	return out, d.Err()
 }
 
+// maxPushFailures drops a watcher after this many consecutive failed
+// pushes: a client that went away without unwatching stops costing dial
+// attempts.
+const maxPushFailures = 3
+
 // HubOptions tune a Hub.
 type HubOptions struct {
 	// PushTimeout bounds one oneway push to one watcher (default 2s).
 	PushTimeout time.Duration
-	// MaxPushFailures drops a watcher after this many consecutive
-	// failed pushes (default 3): a client that went away without
-	// unwatching stops costing dial attempts.
-	MaxPushFailures int
 	// WatchTTL drops watchers that have neither re-watched nor accepted
 	// a push for this long (default 5m). Client refresh loops re-watch
 	// well inside it.
@@ -140,9 +141,6 @@ type Hub struct {
 func NewHub(o *orb.ORB, reg *Registry, opts HubOptions) *Hub {
 	if opts.PushTimeout <= 0 {
 		opts.PushTimeout = 2 * time.Second
-	}
-	if opts.MaxPushFailures <= 0 {
-		opts.MaxPushFailures = 3
 	}
 	if opts.WatchTTL <= 0 {
 		opts.WatchTTL = 5 * time.Minute
@@ -347,7 +345,7 @@ func (h *Hub) pushTo(name Name, callback orb.ObjectRef, leases []OfferLease, epo
 	}
 	h.pushErrors.Add(1)
 	w.failures++
-	if w.failures >= h.opts.MaxPushFailures {
+	if w.failures >= maxPushFailures {
 		delete(ws, callback)
 		if len(ws) == 0 {
 			delete(h.watches, k)

@@ -55,9 +55,6 @@ func newTestCache(t *testing.T, ns WatchBinder, opts GroupCacheOptions) *GroupCa
 	if opts.Refresh == 0 {
 		opts.Refresh = -1
 	}
-	if opts.Logger == nil {
-		opts.Logger = quietLogger()
-	}
 	c := NewGroupCache(a, ns, opts)
 	t.Cleanup(c.Close)
 	return c
@@ -295,7 +292,7 @@ func TestWatchEpochGuardRace(t *testing.T) {
 }
 
 // TestHubDropsUnreachableWatcher: a watcher whose callback cannot be
-// reached is evicted after MaxPushFailures consecutive push failures.
+// reached is evicted after maxPushFailures consecutive push failures.
 func TestHubDropsUnreachableWatcher(t *testing.T) {
 	w := startWatchNS(t, nil)
 	name := NewName("gone")

@@ -17,7 +17,7 @@ func TestBackoffDeterministicWithoutJitter(t *testing.T) {
 		80 * time.Millisecond, // capped
 	}
 	for n, w := range want {
-		if got := b.delay(n); got != w {
+		if got := b.Delay(n); got != w {
 			t.Fatalf("delay(%d) = %v, want %v", n, got, w)
 		}
 	}
@@ -32,9 +32,9 @@ func TestBackoffFullJitterBounds(t *testing.T) {
 		Rand:       rand.New(rand.NewSource(7)),
 	}
 	for n := 1; n <= 6; n++ {
-		ceiling := Backoff{Base: b.Base, Max: b.Max, Multiplier: b.Multiplier}.delay(n)
+		ceiling := Backoff{Base: b.Base, Max: b.Max, Multiplier: b.Multiplier}.Delay(n)
 		for i := 0; i < 200; i++ {
-			d := b.delay(n)
+			d := b.Delay(n)
 			if d < 0 || d > ceiling {
 				t.Fatalf("delay(%d) = %v outside [0, %v]", n, d, ceiling)
 			}
@@ -50,10 +50,10 @@ func TestBackoffJitterSpread(t *testing.T) {
 		Rand:       rand.New(rand.NewSource(42)),
 	}
 	const samples = 200
-	ceiling := Backoff{Base: b.Base, Multiplier: b.Multiplier}.delay(3)
+	ceiling := Backoff{Base: b.Base, Multiplier: b.Multiplier}.Delay(3)
 	min, max := time.Duration(1<<62), time.Duration(0)
 	for i := 0; i < samples; i++ {
-		d := b.delay(3)
+		d := b.Delay(3)
 		if d < min {
 			min = d
 		}
@@ -81,7 +81,7 @@ func TestBackoffPartialJitterFloor(t *testing.T) {
 	// Jitter 0.25 keeps every delay within [0.75·d, d].
 	floor := 75 * time.Millisecond
 	for i := 0; i < 200; i++ {
-		if d := b.delay(1); d < floor || d > 100*time.Millisecond {
+		if d := b.Delay(1); d < floor || d > 100*time.Millisecond {
 			t.Fatalf("delay(1) = %v outside [%v, 100ms]", d, floor)
 		}
 	}
@@ -92,7 +92,7 @@ func TestBackoffSeededJitterReproducible(t *testing.T) {
 		b := Backoff{Base: 10 * time.Millisecond, Multiplier: 2, Jitter: 1, Rand: rand.New(rand.NewSource(99))}
 		out := make([]time.Duration, 0, 8)
 		for n := 1; n <= 8; n++ {
-			out = append(out, b.delay(n))
+			out = append(out, b.Delay(n))
 		}
 		return out
 	}

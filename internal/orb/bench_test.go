@@ -190,7 +190,7 @@ func BenchmarkSyncCallObserved(b *testing.B) {
 // it at admission, runs the tenant token bucket and routes through the
 // per-class weighted queues. The client folds its options once and uses
 // CallOpts per call — the pattern of every long-lived stamped caller
-// (Caller.Opts, naming.Client.SetCallOptions). The budget for this
+// (naming.Client.SetCallOptions). The budget for this
 // path is ≤2 allocs/op over BenchmarkSyncCallObserved — admission
 // control must not tax the calls it admits.
 func BenchmarkSyncCallQoS(b *testing.B) {

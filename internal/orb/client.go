@@ -581,8 +581,7 @@ func decodeReply(reply *giop.Message, readReply func(*cdr.Decoder) error) error 
 			return &SystemException{Kind: ExMarshal, Detail: "undecodable system exception"}
 		}
 		// An admission shed carries the server's backoff hint in a reply
-		// service context; surface it on the exception for the resilient
-		// call engine.
+		// service context; surface it on the exception for the caller.
 		if ra, ok := giop.DecodeRetryAfter(reply.Context(giop.SCRetryAfter)); ok {
 			se.RetryAfter = ra
 		}

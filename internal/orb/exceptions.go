@@ -123,9 +123,8 @@ func RetryAfterHint(err error) time.Duration {
 
 // IsAdmissionShed reports whether err is a QoS admission rejection: a
 // TRANSIENT system exception carrying a retry-after hint. Sheds happen
-// strictly before the servant runs, so replaying one is always safe —
-// the resilient-call engine retries them even for non-idempotent
-// operations.
+// strictly before the servant runs, so reissuing one after the hint is
+// always safe; the server is alive, so it is never a reason to recover.
 func IsAdmissionShed(err error) bool {
 	var se *SystemException
 	return errors.As(err, &se) && se.Kind == ExTransient && se.RetryAfter > 0

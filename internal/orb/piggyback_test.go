@@ -77,24 +77,26 @@ func TestCallOptionsContexts(t *testing.T) {
 	}
 
 	// First attempt against a dead address, recovery to the live servant:
-	// the engine re-applies the options on the replay.
+	// the replay passes the same options again.
 	dead := ObjectRef{TypeID: ref.TypeID, Addr: "127.0.0.1:1", Key: ref.Key}
 	c := &Caller{
 		ORB:     o,
-		Recover: func(context.Context, ObjectRef, error) (ObjectRef, error) { return ref, nil },
+		Recover: func(context.Context, ObjectRef) (ObjectRef, error) { return ref, nil },
 		RetryOn: IsCommFailure,
-		Opts: CallOptions{
-			RetryBudget:    1,
-			RequestContext: giop.ServiceContext{ID: scAsk, Data: []byte("xy")},
-			ReplyContext:   &answer,
-		},
+		Budget:  1,
 	}
-	c.SetRef(dead)
-	if err := c.Call(ctx, "mirror", nil, nil); err != nil {
+	opts = CallOptions{
+		RequestContext: giop.ServiceContext{ID: scAsk, Data: []byte("xy")},
+		ReplyContext:   &answer,
+	}
+	got, err := c.Do(ctx, "mirror", dead, func(ctx context.Context, ref ObjectRef) error {
+		return o.CallOpts(ctx, ref, "mirror", nil, nil, opts)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if string(answer.Data) != "yx" || c.Ref() != ref {
-		t.Fatalf("after replay: reply context %q on %v", answer.Data, c.Ref())
+	if string(answer.Data) != "yx" || got != ref {
+		t.Fatalf("after replay: reply context %q on %v", answer.Data, got)
 	}
 }
 

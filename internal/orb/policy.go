@@ -2,21 +2,19 @@ package orb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
-	"repro/internal/cdr"
 	"repro/internal/giop"
 	"repro/internal/obs"
 )
 
 // CallOptions bound and shape a single invocation. They replace the old
 // single global Options.CallTimeout knob: every call can carry its own
-// deadline, retry budget and backoff, with the ORB-level CallTimeout kept
-// only as the default when Deadline is zero.
+// deadline, with the ORB-level CallTimeout kept only as the default when
+// Deadline is zero.
 type CallOptions struct {
 	// Deadline bounds the call end to end, measured from the moment the
 	// call is issued. Zero falls back to the ORB's Options.CallTimeout;
@@ -24,20 +22,6 @@ type CallOptions struct {
 	// context wins. The remaining time is propagated to the server in the
 	// SCDeadline service context so expired requests are shed there.
 	Deadline time.Duration
-	// RetryBudget is the number of recover-and-replay rounds the resilient
-	// call engine may spend after the first attempt fails. Zero means no
-	// retries.
-	RetryBudget int
-	// Backoff spaces successive replay rounds.
-	Backoff Backoff
-	// Idempotent marks the operation safe to replay even when the failure
-	// leaves the first attempt's outcome unknown (connection died after
-	// the request was written, COMM_FAILURE). When false — and no
-	// explicit RetryOn classifier overrides it — the engine only replays
-	// failures that provably happened before the servant ran
-	// (OBJECT_NOT_EXIST: the dispatch was rejected). The ft proxies set
-	// their own classifier because checkpoint/restore makes replay safe.
-	Idempotent bool
 	// FollowForwards makes the call transparently follow LOCATION_FORWARD
 	// replies (bounded by maxHops to break forwarding loops).
 	FollowForwards bool
@@ -50,11 +34,11 @@ type CallOptions struct {
 	// (token buckets at the server adapter). Empty means the anonymous
 	// tenant.
 	Tenant string
-	// RequestContext, when its ID is non-zero, is attached to the request
-	// of every attempt — the resilient-call engine re-applies it on each
-	// replay, so a recovered call asks the replacement server for the same
-	// thing. ReplyContext, when non-nil, names by its ID a reply service
-	// context the caller wants back: every attempt that gets a reply sets
+	// RequestContext, when its ID is non-zero, is attached to the request;
+	// a layer that replays the call passes the same options again, so a
+	// recovered call asks the replacement server for the same thing.
+	// ReplyContext, when non-nil, names by its ID a reply service context
+	// the caller wants back: every call that gets a reply sets
 	// ReplyContext.Data to that context's data (nil when the reply has
 	// none). The data is the caller's to keep. Together they are the seam
 	// by which a layer above piggybacks on a call's own frames instead of
@@ -91,14 +75,9 @@ var backoffRandMu sync.Mutex
 // no explicit Rand.
 var backoffRand = rand.New(rand.NewSource(time.Now().UnixNano()))
 
-// Delay returns the sleep before retry round n (1-based): the exported
-// view of the engine's schedule, for components that run their own retry
-// loops (e.g. naming re-subscription) but want the same bounded
-// exponential-with-jitter behaviour.
-func (b Backoff) Delay(n int) time.Duration { return b.delay(n) }
-
-// delay returns the sleep before replay round n (1-based).
-func (b Backoff) delay(n int) time.Duration {
+// Delay returns the sleep before retry round n (1-based). Besides the
+// replay loop, naming re-subscription spaces its rounds by it.
+func (b Backoff) Delay(n int) time.Duration {
 	if b.Base <= 0 || n <= 0 {
 		return 0
 	}
@@ -148,7 +127,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// RetryError reports that a resilient call failed and its retry budget was
+// RetryError reports that a call failed and its recovery budget was
 // exhausted (or a recovery step itself failed).
 type RetryError struct {
 	// Op is the operation name.
@@ -165,119 +144,41 @@ func (e *RetryError) Error() string {
 
 func (e *RetryError) Unwrap() error { return e.Last }
 
-// DefaultRetryOn is the engine's default failure classifier: COMM_FAILURE
-// (the paper's recovery trigger), OBJECT_NOT_EXIST (server restarted
-// without state) and QoS admission sheds (rejected before dispatch, with
-// a retry-after hint) are retryable; everything else — user exceptions,
-// bad operations, marshal errors — is returned to the caller unchanged.
-func DefaultRetryOn(err error) bool {
-	return IsCommFailure(err) || IsSystemException(err, ExObjectNotExist) || IsAdmissionShed(err)
-}
-
-// maxHops bounds LOCATION_FORWARD chains, breaking forwarding loops.
-const maxHops = 8
-
-// Caller is the unified resilient-call engine: one implementation of the
-// invoke → on-failure → recover → backoff → replay loop that every layer
-// above the ORB used to hand-roll separately (ft.Proxy, ft.RequestProxy,
-// rosen.Manager). It also follows budget-free LOCATION_FORWARD redirects,
-// at most maxHops of them per call.
-//
-// A Caller is safe for concurrent use; the current target reference is the
-// only mutable state.
+// Caller is the recover-and-replay loop behind the FT proxies — the
+// paper's recovery: an attempt whose failure RetryOn accepts is followed
+// by a backoff, a Recover step that maps the dead reference to a live
+// one, and a replay against it, until an attempt succeeds or Budget
+// rounds are spent. It lives in the ORB because it keeps the ORB's replay
+// and recovery counters. A Caller is a policy value built once: it holds
+// no reference, so it is safe for concurrent use — the reference a call
+// starts on goes into Do and the one it finished on comes back. Recover
+// and RetryOn are required.
 type Caller struct {
-	// ORB performs the transport invocations.
+	// ORB's counters record replay rounds and recovery outcomes.
 	ORB *ORB
-	// Recover maps a dead reference to a replacement before a replay.
-	// When nil, the dead reference is retried as-is (pure retry).
-	Recover func(ctx context.Context, dead ObjectRef, cause error) (ObjectRef, error)
-	// RetryOn classifies retryable failures (default DefaultRetryOn).
+	// Recover maps the reference an attempt failed on to a replacement.
+	Recover func(ctx context.Context, dead ObjectRef) (ObjectRef, error)
+	// RetryOn classifies the failures that trigger recovery; every other
+	// failure goes back to the caller unchanged.
 	RetryOn func(error) bool
-	// OnRetry is invoked before each replay round (1-based), after the
-	// recovery for that round succeeded. Layers hang their replay
-	// counters here.
-	OnRetry func(round int, cause error)
-	// Opts carry the per-call deadline, retry budget and backoff.
-	Opts CallOptions
-
-	mu  sync.Mutex
-	ref ObjectRef
+	// Budget is the number of recovery rounds after the first attempt.
+	Budget int
+	// Backoff spaces successive rounds.
+	Backoff Backoff
 }
 
-// Ref returns the current target reference (zero when unbound).
-func (c *Caller) Ref() ObjectRef {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ref
-}
-
-// SetRef points the caller at ref.
-func (c *Caller) SetRef(ref ObjectRef) {
-	c.mu.Lock()
-	c.ref = ref
-	c.mu.Unlock()
-}
-
-// target returns the current reference, failing when there is none.
-func (c *Caller) target() (ObjectRef, error) {
-	ref := c.Ref()
-	if ref.IsNil() {
-		return ObjectRef{}, &SystemException{Kind: ExObjectNotExist, Detail: "caller has no reference"}
-	}
-	return ref, nil
-}
-
-// recoverRef obtains the replacement reference for a replay round.
-func (c *Caller) recoverRef(ctx context.Context, dead ObjectRef, cause error) (ObjectRef, error) {
-	if c.Recover != nil {
-		return c.Recover(ctx, dead, cause)
-	}
-	return dead, nil
-}
-
-// Do runs one resilient call: attempt is invoked against the current
-// reference; redirects are followed without consuming budget; retryable
-// failures trigger recover-backoff-replay until the budget is spent. op is
-// only used in error reports.
-func (c *Caller) Do(ctx context.Context, op string, attempt func(ctx context.Context, ref ObjectRef) error) error {
-	ref, err := c.target()
-	if err != nil {
-		return err
-	}
-	retryOn := c.RetryOn
-	if retryOn == nil {
-		if c.Opts.Idempotent {
-			retryOn = DefaultRetryOn
-		} else {
-			// Unknown-outcome failures (COMM_FAILURE) are not replayed
-			// for non-idempotent operations; see CallOptions.Idempotent.
-			// Admission sheds provably happened before dispatch, so they
-			// are replay-safe regardless of idempotency.
-			retryOn = func(err error) bool {
-				return IsSystemException(err, ExObjectNotExist) || IsAdmissionShed(err)
-			}
-		}
-	}
-	hops := 0
+// Do runs attempt against ref and, while it fails retryably, recovers and
+// replays. It returns the reference the last attempt ran against. op is
+// only used in traces and error reports.
+func (c *Caller) Do(ctx context.Context, op string, ref ObjectRef, attempt func(ctx context.Context, ref ObjectRef) error) (ObjectRef, error) {
 	span := obs.SpanFromContext(ctx)
-	var last error
 	for round := 0; ; {
 		err := c.runAttempt(ctx, op, round, ref, attempt)
 		if err == nil {
-			return nil
+			return ref, nil
 		}
-		var fwd *ForwardError
-		if errors.As(err, &fwd) {
-			hops++
-			if hops > maxHops {
-				return &SystemException{Kind: ExTransient, Detail: fmt.Sprintf("%s: too many redirect hops", op)}
-			}
-			span.AddEvent("redirect", obs.String("op", op), obs.String("addr", fwd.Target.Addr))
-			ref = fwd.Target
-			continue
-		}
-		if ctx.Err() != nil || !retryOn(err) {
-			return err
+		if ctx.Err() != nil || !c.RetryOn(err) {
+			return ref, err
 		}
 		// The failure is retryable: annotate the live span so a failover
 		// reads as one linked trace — COMM_FAILURE is the paper's crash
@@ -288,54 +189,35 @@ func (c *Caller) Do(ctx context.Context, op string, attempt func(ctx context.Con
 		} else {
 			span.AddEvent("call_failed", obs.String("op", op), obs.String("err", err.Error()))
 		}
-		last = err
-		if round >= c.Opts.RetryBudget {
-			return &RetryError{Op: op, Attempts: round, Last: last}
-		}
-		round++
-		c.countRetry()
-		if serr := sleepCtx(ctx, c.retryDelay(round, last)); serr != nil {
-			return &RetryError{Op: op, Attempts: round, Last: last}
-		}
 		// Recovery itself may fail transiently — the naming service can be
 		// partitioned or mid-restart exactly when we need a fresh reference.
 		// A failed recovery consumes budget rounds like a failed call, so a
 		// recovery path that heals within the budget still saves the call.
-		fresh, rerr := c.recoverRef(ctx, ref, err)
-		for rerr != nil {
-			c.countRecovery(false)
-			span.AddEvent("recovery_failed", obs.String("op", op), obs.String("err", rerr.Error()))
-			last = rerr
-			if ctx.Err() != nil || round >= c.Opts.RetryBudget {
-				return &RetryError{Op: op, Attempts: round, Last: rerr}
+		last := err
+		for {
+			if round >= c.Budget {
+				return ref, &RetryError{Op: op, Attempts: round, Last: last}
 			}
 			round++
 			c.countRetry()
-			if serr := sleepCtx(ctx, c.retryDelay(round, last)); serr != nil {
-				return &RetryError{Op: op, Attempts: round, Last: last}
+			if sleepCtx(ctx, c.Backoff.Delay(round)) != nil {
+				return ref, &RetryError{Op: op, Attempts: round, Last: last}
 			}
-			fresh, rerr = c.recoverRef(ctx, ref, err)
-		}
-		c.countRecovery(true)
-		span.AddEvent("recovered", obs.String("op", op), obs.String("addr", fresh.Addr))
-		ref = fresh
-		c.SetRef(fresh)
-		if c.OnRetry != nil {
-			c.OnRetry(round, err)
+			fresh, rerr := c.Recover(ctx, ref)
+			if rerr == nil {
+				c.countRecovery(true)
+				span.AddEvent("recovered", obs.String("op", op), obs.String("addr", fresh.Addr))
+				ref = fresh
+				break
+			}
+			c.countRecovery(false)
+			span.AddEvent("recovery_failed", obs.String("op", op), obs.String("err", rerr.Error()))
+			last = rerr
+			if ctx.Err() != nil {
+				return ref, &RetryError{Op: op, Attempts: round, Last: last}
+			}
 		}
 	}
-}
-
-// retryDelay is the sleep before replay round n: the engine's backoff
-// schedule widened to at least the server's retry-after hint (carried by
-// admission-shed failures), so shed callers come back when the server
-// said it would have capacity, not sooner.
-func (c *Caller) retryDelay(n int, cause error) time.Duration {
-	d := c.Opts.Backoff.delay(n)
-	if ra := RetryAfterHint(cause); ra > d {
-		d = ra
-	}
-	return d
 }
 
 // runAttempt invokes attempt; replay rounds (round > 0) under a traced
@@ -371,15 +253,4 @@ func (c *Caller) countRecovery(ok bool) {
 	} else {
 		c.ORB.counters.recoveriesFailed.Add(1)
 	}
-}
-
-// Notify forwards a oneway operation to the current reference. Oneways
-// carry no reply, so failure detection — and therefore recovery — does not
-// apply; the call is best-effort by construction.
-func (c *Caller) Notify(ctx context.Context, op string, writeArgs func(*cdr.Encoder)) error {
-	ref, err := c.target()
-	if err != nil {
-		return err
-	}
-	return c.ORB.Notify(ctx, ref, op, writeArgs)
 }

@@ -15,7 +15,7 @@ func TestCallerRetriesFailedRecovery(t *testing.T) {
 	recovers := 0
 	attempts := 0
 	c := &Caller{
-		Recover: func(ctx context.Context, dead ObjectRef, cause error) (ObjectRef, error) {
+		Recover: func(ctx context.Context, dead ObjectRef) (ObjectRef, error) {
 			recovers++
 			if resolveFails > 0 {
 				resolveFails--
@@ -24,11 +24,10 @@ func TestCallerRetriesFailedRecovery(t *testing.T) {
 			return ObjectRef{TypeID: "T", Addr: "fresh:1", Key: "k"}, nil
 		},
 		RetryOn: func(err error) bool { return IsCommFailure(err) },
-		Opts:    CallOptions{RetryBudget: 5},
+		Budget:  5,
 	}
-	c.SetRef(ObjectRef{TypeID: "T", Addr: "dead:1", Key: "k"})
 
-	err := c.Do(context.Background(), "op", func(_ context.Context, ref ObjectRef) error {
+	ref, err := c.Do(context.Background(), "op", ObjectRef{TypeID: "T", Addr: "dead:1", Key: "k"}, func(_ context.Context, ref ObjectRef) error {
 		attempts++
 		if ref.Addr == "dead:1" {
 			return CommFailure("server crashed")
@@ -44,8 +43,8 @@ func TestCallerRetriesFailedRecovery(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("call attempts = %d, want 2 (dead then fresh)", attempts)
 	}
-	if got := c.Ref().Addr; got != "fresh:1" {
-		t.Fatalf("caller ref = %s, want fresh:1", got)
+	if got := ref.Addr; got != "fresh:1" {
+		t.Fatalf("finished on ref = %s, want fresh:1", got)
 	}
 }
 
@@ -54,16 +53,15 @@ func TestCallerRetriesFailedRecovery(t *testing.T) {
 func TestCallerRecoveryFailuresExhaustBudget(t *testing.T) {
 	recovers := 0
 	c := &Caller{
-		Recover: func(ctx context.Context, dead ObjectRef, cause error) (ObjectRef, error) {
+		Recover: func(ctx context.Context, dead ObjectRef) (ObjectRef, error) {
 			recovers++
 			return ObjectRef{}, errors.New("naming still down")
 		},
 		RetryOn: func(err error) bool { return IsCommFailure(err) },
-		Opts:    CallOptions{RetryBudget: 3},
+		Budget:  3,
 	}
-	c.SetRef(ObjectRef{TypeID: "T", Addr: "dead:1", Key: "k"})
 
-	err := c.Do(context.Background(), "op", func(_ context.Context, ref ObjectRef) error {
+	_, err := c.Do(context.Background(), "op", ObjectRef{TypeID: "T", Addr: "dead:1", Key: "k"}, func(_ context.Context, ref ObjectRef) error {
 		return CommFailure("gone")
 	})
 	var re *RetryError

@@ -361,21 +361,3 @@ func TestDegradeGateClosesAdmission(t *testing.T) {
 		t.Fatalf("normal call after mode lifted: %v", err)
 	}
 }
-
-// TestCallerBacksOffOnRetryAfter checks the client half of the shed
-// handshake: the resilient-call engine treats an admission shed as
-// retryable and waits at least the server's hint before replaying.
-func TestCallerBacksOffOnRetryAfter(t *testing.T) {
-	c := &Caller{Opts: CallOptions{Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond}}}
-	shed := &SystemException{Kind: ExTransient, RetryAfter: 80 * time.Millisecond}
-	if !IsAdmissionShed(shed) {
-		t.Fatal("IsAdmissionShed(TRANSIENT with hint) = false")
-	}
-	if d := c.retryDelay(1, shed); d != 80*time.Millisecond {
-		t.Fatalf("retryDelay with 80ms hint = %v, want the hint to win over 1ms backoff", d)
-	}
-	plain := &SystemException{Kind: ExTransient}
-	if d := c.retryDelay(1, plain); d != time.Millisecond {
-		t.Fatalf("retryDelay without hint = %v, want the backoff's 1ms", d)
-	}
-}

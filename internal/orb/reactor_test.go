@@ -233,10 +233,14 @@ func TestSlowLorisConnectionReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle.SetReadDeadline(time.Now().Add(2 * time.Second))
-	reply, err := giop.Read(idle)
-	if err != nil {
+	fr := giop.NewFrameReader(idle, giop.FrameReaderConfig{})
+	defer fr.Close()
+	var batch [1]*giop.Message
+	if _, err := fr.ReadBatch(batch[:]); err != nil {
 		t.Fatalf("idle connection was reaped: %v", err)
 	}
+	reply := batch[0]
+	defer reply.Release()
 	if reply.Type != giop.MsgLocateReply || reply.LocateStatus != giop.LocateObjectHere {
 		t.Fatalf("locate reply = %+v", reply)
 	}

@@ -291,8 +291,8 @@ func shedReply(req *giop.Message) *giop.Message {
 
 // qosShedReply builds the TRANSIENT reply for a request rejected by QoS
 // admission control, carrying the retry-after hint in an SCRetryAfter
-// service context so resilient callers back off for the right amount of
-// time instead of hammering a saturated server.
+// service context so callers can back off for the right amount of time
+// instead of hammering a saturated server.
 func qosShedReply(req *giop.Message, class Priority, reason string, retryAfter time.Duration) *giop.Message {
 	reply := &giop.Message{Type: giop.MsgReply, RequestID: req.RequestID}
 	setReplyError(reply, &SystemException{

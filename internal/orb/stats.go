@@ -71,8 +71,9 @@ type Stats struct {
 	// DispatchQueueDepth is the number of admitted requests currently
 	// waiting for a dispatch worker (a gauge, not a counter).
 	DispatchQueueDepth int
-	// RetriesAttempted counts replay rounds entered by the resilient-call
-	// engine (Caller), including rounds consumed by failed recoveries.
+	// RetriesAttempted counts replay rounds entered by the FT proxies'
+	// recover-and-replay loop (Caller), including rounds consumed by
+	// failed recoveries.
 	RetriesAttempted uint64
 	// RecoveriesSucceeded counts recover steps (re-resolve / failover)
 	// that produced a replacement reference.
@@ -177,7 +178,7 @@ func (o *ORB) ExportStats(reg *obs.Registry) {
 		{"orb_frames_read_total", "GIOP frames delivered by reactor read loops.", &o.counters.framesRead},
 		{"orb_frame_reads_total", "Read syscalls those frames arrived in.", &o.counters.frameReads},
 		{"orb_oversize_rejected_total", "Inbound frames rejected by the request-body cap.", &o.counters.oversizeRejected},
-		{"orb_retries_attempted_total", "Replay rounds entered by the resilient-call engine.", &o.counters.retriesAttempted},
+		{"orb_retries_attempted_total", "Replay rounds entered by the recover-and-replay loop.", &o.counters.retriesAttempted},
 		{"orb_recoveries_succeeded_total", "Recover steps that produced a replacement reference.", &o.counters.recoveriesSucceeded},
 		{"orb_recoveries_failed_total", "Recover steps that themselves failed.", &o.counters.recoveriesFailed},
 	}

@@ -7,34 +7,37 @@ import (
 	"repro/internal/orb"
 )
 
-// Client is the typed client stub for the Winner system manager. All
-// remote operations route through the ORB's resilient-call engine; the
-// stub itself carries no retry policy (load reporting tolerates loss and
-// retries on the next tick instead).
+// Client is the typed client stub for the Winner system manager. Every
+// operation is one call that follows LOCATION_FORWARD replies; the stub
+// carries no retry policy (load reporting tolerates loss and retries on
+// the next tick instead).
 type Client struct {
-	orb    *orb.ORB
-	caller *orb.Caller
+	orb *orb.ORB
+	ref orb.ObjectRef
 }
 
 // NewClient builds a stub for the system manager at ref.
 func NewClient(o *orb.ORB, ref orb.ObjectRef) *Client {
-	c := &Client{orb: o, caller: &orb.Caller{ORB: o}}
-	c.caller.SetRef(ref)
-	return c
+	return &Client{orb: o, ref: ref}
 }
 
 // Ref returns the service's object reference.
-func (c *Client) Ref() orb.ObjectRef { return c.caller.Ref() }
+func (c *Client) Ref() orb.ObjectRef { return c.ref }
+
+// call issues op against the system manager.
+func (c *Client) call(ctx context.Context, op string, args func(*cdr.Encoder), reply func(*cdr.Decoder) error) error {
+	return c.orb.CallOpts(ctx, c.ref, op, args, reply, orb.CallOptions{FollowForwards: true})
+}
 
 // Report ships a load sample to the system manager.
 func (c *Client) Report(ctx context.Context, s LoadSample) error {
-	return c.caller.Call(ctx, opReport, func(e *cdr.Encoder) { s.MarshalCDR(e) }, nil)
+	return c.call(ctx, opReport, func(e *cdr.Encoder) { s.MarshalCDR(e) }, nil)
 }
 
 // BestHost asks for the currently best host, skipping any in exclude.
 func (c *Client) BestHost(ctx context.Context, exclude []string) (string, error) {
 	var host string
-	err := c.caller.Call(ctx, opBestHost,
+	err := c.call(ctx, opBestHost,
 		func(e *cdr.Encoder) { e.PutStringSeq(exclude) },
 		func(d *cdr.Decoder) error { host = d.GetString(); return d.Err() })
 	return host, err
@@ -43,7 +46,7 @@ func (c *Client) BestHost(ctx context.Context, exclude []string) (string, error)
 // BestOf asks for the best host among candidates.
 func (c *Client) BestOf(ctx context.Context, candidates []string) (string, error) {
 	var host string
-	err := c.caller.Call(ctx, opBestOf,
+	err := c.call(ctx, opBestOf,
 		func(e *cdr.Encoder) { e.PutStringSeq(candidates) },
 		func(d *cdr.Decoder) error { host = d.GetString(); return d.Err() })
 	return host, err
@@ -52,7 +55,7 @@ func (c *Client) BestOf(ctx context.Context, candidates []string) (string, error
 // Ranking fetches all hosts, best first.
 func (c *Client) Ranking(ctx context.Context) ([]HostInfo, error) {
 	var out []HostInfo
-	err := c.caller.Call(ctx, opRanking, nil, func(d *cdr.Decoder) error {
+	err := c.call(ctx, opRanking, nil, func(d *cdr.Decoder) error {
 		n := d.GetUint32()
 		if n > 1<<20 {
 			return &orb.SystemException{Kind: orb.ExMarshal, Detail: "ranking too long"}
@@ -73,7 +76,7 @@ func (c *Client) Ranking(ctx context.Context) ([]HostInfo, error) {
 // HostInfo fetches the manager's view of one host.
 func (c *Client) HostInfo(ctx context.Context, host string) (HostInfo, error) {
 	var out HostInfo
-	err := c.caller.Call(ctx, opHostInfo,
+	err := c.call(ctx, opHostInfo,
 		func(e *cdr.Encoder) { e.PutString(host) },
 		func(d *cdr.Decoder) error { return out.UnmarshalCDR(d) })
 	return out, err
@@ -92,5 +95,5 @@ func (c *Client) HostEffectiveSpeed(ctx context.Context, host string) (float64, 
 
 // Forget removes a host from the manager.
 func (c *Client) Forget(ctx context.Context, host string) error {
-	return c.caller.Call(ctx, opForget, func(e *cdr.Encoder) { e.PutString(host) }, nil)
+	return c.call(ctx, opForget, func(e *cdr.Encoder) { e.PutString(host) }, nil)
 }
