@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race stress bench-check fuzz examples chaos generate bench
+.PHONY: check fmt vet cross build test race stress bench-check fuzz examples chaos generate bench
 
 ## FUZZTIME is how long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 10s
 
-## check: everything CI's check job runs — formatting, vet, build,
-## race-enabled tests, the pool and FT recovery stress runs, the benchmark
-## harness's own vet and tests, every fuzz target for FUZZTIME, and
-## every example program run to the end.
-check: fmt vet build race stress bench-check fuzz examples
+## check: everything CI's check job runs — formatting, vet, the
+## big-endian type-check, build, race-enabled tests, the pool and FT
+## recovery stress runs, the benchmark harness's own vet and tests, every
+## fuzz target for FUZZTIME, and every example program run to the end.
+check: fmt vet cross build race stress bench-check fuzz examples
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -19,6 +19,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+## cross: vet every package and its tests for a big-endian target
+## (s390x), offline, so the per-element loops cdr runs there in place of
+## the little-endian copy keep compiling.
+cross:
+	GOARCH=s390x $(GO) vet ./...
 
 build:
 	$(GO) build ./...

@@ -12,7 +12,7 @@ import (
 // The block sequence coders are pinned against the per-element ones they
 // replaced, kept here as the reference. The reference encoder shares no
 // code with Encoder: it pads one zero byte at a time and appends every
-// element byte by byte. The reference decoders are the old loops over the
+// element byte by byte, low byte first. The reference decoders are the old loops over the
 // scalar getters.
 
 type refEncoder struct{ buf []byte }
@@ -25,14 +25,14 @@ func (r *refEncoder) align(n int) {
 
 func (r *refEncoder) putUint32(v uint32) {
 	r.align(4)
-	r.buf = append(r.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	r.buf = append(r.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 func (r *refEncoder) putUint64(v uint64) {
 	r.align(8)
 	r.buf = append(r.buf,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
+		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 func (r *refEncoder) putString(s string) {
@@ -205,6 +205,64 @@ func TestBlockSequencesGoldenBytes(t *testing.T) {
 		}
 		if d.GetOctet() != 0x7F || d.Remaining() != 0 || d.Err() != nil {
 			t.Fatalf("round %d: decoder did not stop at the end of the sequences", round)
+		}
+	}
+}
+
+// TestSequenceLoopsMatchCopy: the per-element loops a big-endian host runs
+// instead of the copy, called here directly, write the bytes the copy
+// writes and read them back bit for bit, at every length up to one past
+// bulk's 8192 elements and at every alignment of the block in the stream.
+// Both are held to the reference's byte-by-byte little-endian appends.
+func TestSequenceLoopsMatchCopy(t *testing.T) {
+	const most = 8193
+	rng := rand.New(rand.NewSource(40))
+	fs := append(append([]float64{}, awkwardFloats...), randomFloatSeq(rng, most-len(awkwardFloats))...)
+	is := []int32{math.MinInt32, -1, 0, 1, math.MaxInt32}
+	for len(is) < most {
+		is = append(is, int32(rng.Uint32()))
+	}
+	var wantF, wantI refEncoder
+	for i := range fs {
+		wantF.putUint64(math.Float64bits(fs[i]))
+		wantI.putUint32(uint32(is[i]))
+	}
+	if hostLittleEndian && (!bytes.Equal(memBytes(fs), wantF.buf) || !bytes.Equal(memBytes(is), wantI.buf)) {
+		t.Fatal("the copy's bytes are not the reference's")
+	}
+
+	// Each length is coded at one offset, and every length modulo 8 meets
+	// every offset within 64 lengths: the full product costs two minutes
+	// under the race detector. Neither loop may touch a byte on either
+	// side of its block.
+	const sentinel = 0xA5
+	buf := bytes.Repeat([]byte{sentinel}, 7+8*most+1)
+	outF, outI := make([]float64, most), make([]int32, most)
+	for n := 0; n <= most; n++ {
+		lead := (n + n/8) % 8
+		buf[lead+8*n] = sentinel
+		if lead > 0 {
+			buf[lead-1] = sentinel
+		}
+		b := buf[lead : lead+8*n]
+		putFloat64s(b, fs[:n])
+		if !bytes.Equal(b, wantF.buf[:8*n]) || buf[lead+8*n] != sentinel || (lead > 0 && buf[lead-1] != sentinel) {
+			t.Fatalf("putFloat64s, %d elements at offset %d: bytes differ from the copy's", n, lead)
+		}
+		getFloat64s(outF[:n], b)
+		if !bytes.Equal(memBytes(outF[:n]), memBytes(fs[:n])) {
+			t.Fatalf("getFloat64s, %d elements at offset %d: values differ from the copy's", n, lead)
+		}
+
+		buf[lead+4*n] = sentinel
+		b = buf[lead : lead+4*n]
+		putInt32s(b, is[:n])
+		if !bytes.Equal(b, wantI.buf[:4*n]) || buf[lead+4*n] != sentinel || (lead > 0 && buf[lead-1] != sentinel) {
+			t.Fatalf("putInt32s, %d elements at offset %d: bytes differ from the copy's", n, lead)
+		}
+		getInt32s(outI[:n], b)
+		if !bytes.Equal(memBytes(outI[:n]), memBytes(is[:n])) {
+			t.Fatalf("getInt32s, %d elements at offset %d: values differ from the copy's", n, lead)
 		}
 	}
 }

@@ -1,23 +1,28 @@
 // Package cdr implements a binary marshalling format modelled on the CORBA
 // Common Data Representation (CDR).
 //
-// Values are encoded big-endian ("network order") with CDR's natural
-// alignment rules: every primitive of size n is aligned to an n-byte
-// boundary relative to the start of the stream. Strings are encoded as a
-// uint32 length followed by the raw bytes (no trailing NUL; documented
-// deviation from CORBA CDR 1.x, which includes one). Sequences are a uint32
-// element count followed by the elements.
+// Values are encoded little-endian with CDR's natural alignment rules:
+// every primitive of size n is aligned to an n-byte boundary relative to
+// the start of the stream. Strings are encoded as a uint32 length followed
+// by the raw bytes (no trailing NUL; documented deviation from CORBA CDR
+// 1.x, which includes one). Sequences are a uint32 element count followed
+// by the elements.
 //
 // The package provides a stateful Encoder/Decoder pair plus an
 // encapsulation helper mirroring CDR encapsulations (self-contained octet
 // sequences used for service contexts and object references).
 //
-// Sequences of fixed-size primitives (PutFloat64Seq/GetFloat64Seq and the
-// Int32 pair) are block-coded: the count is validated, the stream aligned
-// and the bytes reserved or taken once, and the elements converted in one
-// loop — the wire form is that of the element-by-element coding, byte for
-// byte. Encoders and Decoders are pooled (AcquireEncoder/AcquireDecoder);
-// RetainLimit is the one rule for which buffers the data path keeps.
+// Little-endian is the wire's one byte order; every encapsulation's flag
+// octet says so, and a stream in the other order is refused, not
+// converted. It is the order of the hosts this runtime is deployed on, so
+// there the elements of a sequence of fixed-size primitives
+// (PutFloat64Seq/GetFloat64Seq and the Int32 pair) cross as one copy
+// between the slice and the stream: the count is validated, the stream
+// aligned and the bytes reserved or taken once. A big-endian host converts
+// the same block in one loop instead. Either way the wire form is that of
+// the element-by-element coding, byte for byte. Encoders and Decoders are
+// pooled (AcquireEncoder/AcquireDecoder); RetainLimit is the one rule for
+// which buffers the data path keeps.
 package cdr
 
 import (
@@ -107,33 +112,31 @@ func (e *Encoder) PutBool(v bool) {
 	}
 }
 
-// PutUint16 appends a 2-byte-aligned big-endian uint16.
+// PutUint16 appends a 2-byte-aligned little-endian uint16.
 func (e *Encoder) PutUint16(v uint16) {
 	e.Align(2)
-	e.buf = append(e.buf, byte(v>>8), byte(v))
+	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
 }
 
-// PutUint32 appends a 4-byte-aligned big-endian uint32.
+// PutUint32 appends a 4-byte-aligned little-endian uint32.
 func (e *Encoder) PutUint32(v uint32) {
 	e.Align(4)
-	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
-// PutUint64 appends an 8-byte-aligned big-endian uint64.
+// PutUint64 appends an 8-byte-aligned little-endian uint64.
 func (e *Encoder) PutUint64(v uint64) {
 	e.Align(8)
-	e.buf = append(e.buf,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
-// PutInt16 appends a 2-byte-aligned big-endian int16.
+// PutInt16 appends a 2-byte-aligned little-endian int16.
 func (e *Encoder) PutInt16(v int16) { e.PutUint16(uint16(v)) }
 
-// PutInt32 appends a 4-byte-aligned big-endian int32.
+// PutInt32 appends a 4-byte-aligned little-endian int32.
 func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
 
-// PutInt64 appends an 8-byte-aligned big-endian int64.
+// PutInt64 appends an 8-byte-aligned little-endian int64.
 func (e *Encoder) PutInt64(v int64) { e.PutUint64(uint64(v)) }
 
 // PutFloat32 appends a 4-byte-aligned IEEE-754 float32.
@@ -158,7 +161,8 @@ func (e *Encoder) PutBytes(b []byte) {
 func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
 
 // PutFloat64Seq appends a sequence<double>. The elements are one block:
-// aligned and reserved once, then converted in place.
+// aligned and reserved once, then copied in — converted, on a big-endian
+// host (see hostLittleEndian).
 func (e *Encoder) PutFloat64Seq(v []float64) {
 	e.PutUint32(uint32(len(v)))
 	if len(v) == 0 {
@@ -166,8 +170,10 @@ func (e *Encoder) PutFloat64Seq(v []float64) {
 	}
 	e.Align(8)
 	b := e.grow(8 * len(v))
-	for i, x := range v {
-		binary.BigEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	if hostLittleEndian {
+		copy(b, memBytes(v))
+	} else {
+		putFloat64s(b, v)
 	}
 }
 
@@ -176,8 +182,10 @@ func (e *Encoder) PutFloat64Seq(v []float64) {
 func (e *Encoder) PutInt32Seq(v []int32) {
 	e.PutUint32(uint32(len(v)))
 	b := e.grow(4 * len(v))
-	for i, x := range v {
-		binary.BigEndian.PutUint32(b[4*i:], uint32(x))
+	if hostLittleEndian {
+		copy(b, memBytes(v))
+	} else {
+		putInt32s(b, v)
 	}
 }
 
@@ -255,44 +263,43 @@ func (d *Decoder) GetOctet() byte {
 // GetBool reads one octet as a boolean; any nonzero value is true.
 func (d *Decoder) GetBool() bool { return d.GetOctet() != 0 }
 
-// GetUint16 reads an aligned big-endian uint16.
+// GetUint16 reads an aligned little-endian uint16.
 func (d *Decoder) GetUint16() uint16 {
 	d.align(2)
 	b := d.take(2)
 	if b == nil {
 		return 0
 	}
-	return uint16(b[0])<<8 | uint16(b[1])
+	return binary.LittleEndian.Uint16(b)
 }
 
-// GetUint32 reads an aligned big-endian uint32.
+// GetUint32 reads an aligned little-endian uint32.
 func (d *Decoder) GetUint32() uint32 {
 	d.align(4)
 	b := d.take(4)
 	if b == nil {
 		return 0
 	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+	return binary.LittleEndian.Uint32(b)
 }
 
-// GetUint64 reads an aligned big-endian uint64.
+// GetUint64 reads an aligned little-endian uint64.
 func (d *Decoder) GetUint64() uint64 {
 	d.align(8)
 	b := d.take(8)
 	if b == nil {
 		return 0
 	}
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
+	return binary.LittleEndian.Uint64(b)
 }
 
-// GetInt16 reads an aligned big-endian int16.
+// GetInt16 reads an aligned little-endian int16.
 func (d *Decoder) GetInt16() int16 { return int16(d.GetUint16()) }
 
-// GetInt32 reads an aligned big-endian int32.
+// GetInt32 reads an aligned little-endian int32.
 func (d *Decoder) GetInt32() int32 { return int32(d.GetUint32()) }
 
-// GetInt64 reads an aligned big-endian int64.
+// GetInt64 reads an aligned little-endian int64.
 func (d *Decoder) GetInt64() int64 { return int64(d.GetUint64()) }
 
 // GetFloat32 reads an aligned IEEE-754 float32.
@@ -365,8 +372,10 @@ func (d *Decoder) GetFloat64Seq() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
+	if hostLittleEndian {
+		copy(memBytes(out), b)
+	} else {
+		getFloat64s(out, b)
 	}
 	return out
 }
@@ -382,8 +391,10 @@ func (d *Decoder) GetInt32Seq() []int32 {
 		return nil
 	}
 	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.BigEndian.Uint32(b[4*i:]))
+	if hostLittleEndian {
+		copy(memBytes(out), b)
+	} else {
+		getInt32s(out, b)
 	}
 	return out
 }

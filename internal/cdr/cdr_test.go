@@ -2,7 +2,9 @@ package cdr
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -319,9 +321,12 @@ func TestEncapsulationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncapsulationRejectsLittleEndian(t *testing.T) {
-	if _, err := OpenEncapsulation([]byte{1, 0, 0, 0}); err != ErrByteOrder {
+func TestEncapsulationRejectsBigEndian(t *testing.T) {
+	if _, err := OpenEncapsulation([]byte{0, 0, 0, 0}); err != ErrByteOrder {
 		t.Fatalf("err = %v, want ErrByteOrder", err)
+	}
+	if !strings.Contains(ErrByteOrder.Error(), "big-endian") {
+		t.Fatalf("ErrByteOrder reads %q, which does not name the order it refuses", ErrByteOrder)
 	}
 }
 
@@ -466,26 +471,55 @@ func TestGetValueAfterError(t *testing.T) {
 	}
 }
 
+// The sequence benchmarks run at a solver vector's length and at bulk's
+// 64 KiB. Each has a baseline at the bulk length that does only what the
+// coder cannot avoid: encoding copies the elements into a warm buffer, and
+// decoding allocates the result. What a coder spends above its baseline is
+// conversion.
+var seqBenchLens = []int{128, 8192}
+
+var sinkFloats []float64
+
 func BenchmarkEncodeFloat64Seq(b *testing.B) {
-	v := make([]float64, 128)
-	e := NewEncoder(2048)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		e.PutFloat64Seq(v)
+	for _, n := range seqBenchLens {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			v := make([]float64, n)
+			e := NewEncoder(8 + 8*n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Reset()
+				e.PutFloat64Seq(v)
+			}
+		})
 	}
+	b.Run("8192/copy-only", func(b *testing.B) {
+		src, buf := make([]byte, 8*8192), make([]byte, 8*8192)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(buf, src)
+		}
+	})
 }
 
 func BenchmarkDecodeFloat64Seq(b *testing.B) {
-	v := make([]float64, 128)
-	e := NewEncoder(2048)
-	e.PutFloat64Seq(v)
-	data := e.Bytes()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := NewDecoder(data)
-		if d.GetFloat64Seq() == nil && len(v) > 0 {
-			b.Fatal("decode failed")
-		}
+	for _, n := range seqBenchLens {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			e := NewEncoder(8 + 8*n)
+			e.PutFloat64Seq(make([]float64, n))
+			data := e.Bytes()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := NewDecoder(data)
+				if sinkFloats = d.GetFloat64Seq(); sinkFloats == nil {
+					b.Fatal("decode failed")
+				}
+			}
+		})
 	}
+	b.Run("8192/alloc-only", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkFloats = make([]float64, 8192)
+		}
+	})
 }

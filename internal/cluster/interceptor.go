@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 
 	"repro/internal/giop"
@@ -31,24 +32,17 @@ func NewTimeInterceptor(clock *Clock) *TimeInterceptor {
 
 var _ orb.CallInterceptor = (*TimeInterceptor)(nil)
 
+// The SCVirtualTime payload is the float64's bits, little-endian like the
+// rest of the wire.
 func encodeTime(t float64) []byte {
-	bits := math.Float64bits(t)
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(bits >> (56 - 8*i))
-	}
-	return b
+	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(t))
 }
 
 func decodeTime(b []byte) (float64, bool) {
 	if len(b) != 8 {
 		return 0, false
 	}
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits = bits<<8 | uint64(b[i])
-	}
-	return math.Float64frombits(bits), true
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), true
 }
 
 func (ti *TimeInterceptor) stamp(m *giop.Message) {

@@ -152,12 +152,13 @@ func (w *Wrapper) attachState(ctx *orb.ServerContext, mark []byte) {
 	ctx.AddReplyContext(giop.SCCheckpoint, e.Bytes())
 }
 
-// The SCCheckpoint service context, both ways, big-endian without CDR
-// framing. A marked request carries the id of the caller's acked delta
-// base, u64 incarnation + u64 seq, or nothing when it knows of none. The
-// reply carries the capture the operation produced: its id, u64 base, and
-// the body — the full state when base is 0, else a delta (see
-// ComputeDelta) against capture base of the same incarnation.
+// The SCCheckpoint service context, both ways, little-endian like the rest
+// of the wire but without CDR framing. A marked request carries the id of
+// the caller's acked delta base, u64 incarnation + u64 seq, or nothing
+// when it knows of none. The reply carries the capture the operation
+// produced: its id, u64 base, and the body — the full state when base is
+// 0, else a delta (see ComputeDelta) against capture base of the same
+// incarnation.
 const (
 	markLen       = 16
 	ckptHeaderLen = 24
@@ -168,7 +169,7 @@ const (
 type captureID struct{ inc, seq uint64 }
 
 func readID(b []byte) captureID {
-	return captureID{binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])}
+	return captureID{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])}
 }
 
 // putMark writes id into dst as a request mark and returns it; the zero id
@@ -177,8 +178,8 @@ func (id captureID) putMark(dst []byte) []byte {
 	if id.inc == 0 {
 		return nil
 	}
-	binary.BigEndian.PutUint64(dst, id.inc)
-	binary.BigEndian.PutUint64(dst[8:], id.seq)
+	binary.LittleEndian.PutUint64(dst, id.inc)
+	binary.LittleEndian.PutUint64(dst[8:], id.seq)
 	return dst[:markLen]
 }
 
@@ -203,7 +204,7 @@ func decodeReply(data []byte) (id captureID, base uint64, body []byte, ok bool) 
 	if len(data) < ckptHeaderLen {
 		return id, 0, nil, false
 	}
-	id, base = readID(data), binary.BigEndian.Uint64(data[16:])
+	id, base = readID(data), binary.LittleEndian.Uint64(data[16:])
 	return id, base, data[ckptHeaderLen:], id.inc != 0 && id.seq != 0 && base < id.seq
 }
 

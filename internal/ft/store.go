@@ -163,15 +163,20 @@ func (s *DiskStore) path(key string) string {
 	return filepath.Join(s.dir, hex.EncodeToString([]byte(key))+".ckpt")
 }
 
+// A checkpoint file is an encapsulation of the epoch and the blob, so its
+// flag octet refuses a file left by a build whose byte order differed.
 func encodeCheckpointFile(epoch uint64, data []byte) []byte {
-	e := cdr.NewEncoder(16 + len(data))
-	e.PutUint64(epoch)
-	e.PutBytes(data)
-	return e.Bytes()
+	return cdr.Encapsulate(func(e *cdr.Encoder) {
+		e.PutUint64(epoch)
+		e.PutBytes(data)
+	})
 }
 
 func decodeCheckpointFile(raw []byte) (uint64, []byte, error) {
-	d := cdr.NewDecoder(raw)
+	d, err := cdr.OpenEncapsulation(raw)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
+	}
 	epoch := d.GetUint64()
 	data := d.GetBytes()
 	if err := d.Err(); err != nil {

@@ -2,6 +2,7 @@ package ft
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -207,6 +208,29 @@ func TestDiskStoreCorruptFile(t *testing.T) {
 	}
 	if errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("corrupt checkpoint reported as missing: %v", err)
+	}
+}
+
+// TestDiskStoreRefusesBigEndianFile: a checkpoint file as a build with the
+// big-endian wire left it — epoch and blob length high byte first, with no
+// byte-order flag — reads as corrupt, never as a checkpoint with a
+// byte-swapped epoch. An empty blob, whose zero length reads the same in
+// either order, is no exception.
+func TestDiskStoreRefusesBigEndianFile(t *testing.T) {
+	s, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range [][]byte{[]byte("state"), nil} {
+		old := binary.BigEndian.AppendUint64(nil, 42)
+		old = binary.BigEndian.AppendUint32(old, uint32(len(blob)))
+		old = append(old, blob...)
+		if err := os.WriteFile(s.path("svc"), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if epoch, _, err := getFull(context.Background(), s, "svc"); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("%d-byte blob: Get = epoch %d, %v; want ErrCorruptCheckpoint", len(blob), epoch, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package giop
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -326,7 +327,7 @@ func (fr *FrameReader) header() (typ MsgType, flags byte, n int, err error) {
 	if typ > MsgFragment {
 		return 0, 0, 0, fmt.Errorf("giop: unknown message type %d", h[5])
 	}
-	size := uint32(h[8])<<24 | uint32(h[9])<<16 | uint32(h[10])<<8 | uint32(h[11])
+	size := binary.LittleEndian.Uint32(h[8:])
 	if size > MaxMessageSize {
 		return 0, 0, 0, ErrTooBig
 	}

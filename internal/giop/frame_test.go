@@ -258,6 +258,24 @@ func TestFrameReaderHugeDeclaredBodyIsFatal(t *testing.T) {
 	}
 }
 
+// TestFrameReaderRefusesVersion1: a frame as a version-1 peer writes it —
+// its size, like its body, big-endian — is refused on its header, before
+// the byte-swapped size or any body byte is read.
+func TestFrameReaderRefusesVersion1(t *testing.T) {
+	stream := encodeStream(t, req(1, "echo", []byte("abcdefgh")))
+	n := len(stream) - HeaderSize
+	stream[4] = 1
+	stream[8], stream[9], stream[10], stream[11] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+	fr := NewFrameReader(&chunkReader{data: stream}, FrameReaderConfig{})
+	defer fr.Close()
+	batch := make([]*Message, 1)
+	for range 2 { // fatal errors are sticky
+		if k, err := fr.ReadBatch(batch); k != 0 || !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("ReadBatch = %d, %v; want 0, ErrBadVersion", k, err)
+		}
+	}
+}
+
 func TestFrameReaderBadMagicIsFatal(t *testing.T) {
 	fr := NewFrameReader(&chunkReader{data: []byte("garbage-not-a-header")}, FrameReaderConfig{})
 	defer fr.Close()

@@ -1,9 +1,12 @@
 // Package giop implements a message protocol modelled on the CORBA General
 // Inter-ORB Protocol (GIOP 1.0/1.1): a fixed 12-byte header followed by a
-// CDR-encoded message body. Message kinds, reply statuses and service
-// contexts follow the GIOP structure closely enough that the runtime layers
-// above (ORB, naming, fault tolerance) can be written exactly as the paper
-// describes them for omniORB.
+// CDR-encoded message body. The header is the magic "SGOP", the version,
+// the message type, a flags octet, one reserved octet and the body size as
+// a little-endian uint32 — the byte order of the cdr bodies, which is the
+// wire's only one, so no header carries a byte-order flag. Message kinds,
+// reply statuses and service contexts follow the GIOP structure closely
+// enough that the runtime layers above (ORB, naming, fault tolerance) can
+// be written exactly as the paper describes them for omniORB.
 //
 // Write frames a message with one copy of its Body, into a pooled scratch
 // buffer. FrameReader is the reader of both ends of a connection — the
@@ -15,8 +18,7 @@
 // once the reply is decoded (values decoded with cdr's Get* are copies and
 // outlive it). Release is an optimisation, not an obligation: a message
 // that is never released, as the ORB's DII requests do with replies they
-// may decode again, keeps its window until both are collected. Read is the
-// plain one-message reader; tools and tests use it, the runtime does not.
+// may decode again, keeps its window until both are collected.
 package giop
 
 import (
@@ -35,8 +37,11 @@ import (
 // claiming interoperability with real GIOP implementations).
 var Magic = [4]byte{'S', 'G', 'O', 'P'}
 
-// Version is the protocol version carried in every header.
-const Version = 1
+// Version is the protocol version carried in every header. Version 2 is
+// the little-endian wire: a peer built for version 1, whose header size
+// and bodies were big-endian, is refused with ErrBadVersion rather than
+// misread.
+const Version = 2
 
 // MsgType enumerates protocol message kinds (GIOP MsgType analogue).
 type MsgType uint8
@@ -492,7 +497,7 @@ func writeOne(w io.Writer, typ MsgType, flags byte, prefix, body []byte) error {
 	buf := slices.Grow((*bp)[:0], HeaderSize+n)
 	buf = append(buf, Magic[:]...)
 	buf = append(buf, Version, byte(typ), flags, 0)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = append(buf, prefix...)
 	buf = append(buf, body...)
 	_, err := w.Write(buf)

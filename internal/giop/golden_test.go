@@ -14,7 +14,8 @@ import (
 // Write stopped copying bodies twice, kept here as the reference: the
 // whole wire body — prefix, a freshly allocated pad, then the Body — went
 // through an encoder with PutRaw, and refWriteOne appended it to a scratch
-// buffer behind the header.
+// buffer behind the header, whose size it writes byte by byte, low byte
+// first.
 
 func refEncodeBody(m *Message) []byte {
 	e := cdr.NewEncoder(64 + len(m.Body))
@@ -54,7 +55,7 @@ func refWriteOne(w io.Writer, typ MsgType, flags byte, body []byte) error {
 	buf := append([]byte(nil), Magic[:]...)
 	buf = append(buf, Version, byte(typ), flags, 0)
 	n := uint32(len(body))
-	buf = append(buf, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	buf = append(buf, body...)
 	_, err := w.Write(buf)
 	return err

@@ -170,7 +170,7 @@ func TestLyingHeaderCannotForceAllocation(t *testing.T) {
 	for _, declared := range []uint32{cdr.RetainLimit / 2, cdr.RetainLimit - HeaderSize, cdr.RetainLimit, 8 << 20, MaxMessageSize} {
 		raw := append([]byte{}, Magic[:]...)
 		raw = append(raw, Version, byte(MsgRequest), 0, 0,
-			byte(declared>>24), byte(declared>>16), byte(declared>>8), byte(declared))
+			byte(declared), byte(declared>>8), byte(declared>>16), byte(declared>>24))
 		raw = append(raw, "only a few bytes follow"...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -207,7 +207,7 @@ func readOne(r io.Reader) (MsgType, byte, []byte, error) {
 	if typ > MsgFragment {
 		return 0, 0, nil, fmt.Errorf("giop: unknown message type %d", hdr[5])
 	}
-	n := uint32(hdr[8])<<24 | uint32(hdr[9])<<16 | uint32(hdr[10])<<8 | uint32(hdr[11])
+	n := uint32(hdr[8]) | uint32(hdr[9])<<8 | uint32(hdr[10])<<16 | uint32(hdr[11])<<24
 	if n > MaxMessageSize {
 		return 0, 0, nil, ErrTooBig
 	}

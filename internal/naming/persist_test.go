@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -101,9 +102,9 @@ func TestRestoreSnapshotCorrupt(t *testing.T) {
 	r := NewRegistry()
 	cases := [][]byte{
 		nil,
-		{0},                            // flag only, no version
-		{1, 0, 0, 0, 0},                // little-endian flag
-		append([]byte{0}, 0, 0, 0, 99), // wrong version
+		{1},              // flag only, no version
+		{0, 0, 0, 0, 2},  // big-endian flag
+		{1, 0, 0, 0, 99}, // wrong version
 	}
 	for i, data := range cases {
 		if err := r.RestoreSnapshot(data); err == nil {
@@ -237,6 +238,23 @@ func snapshotRemoteMount() []byte {
 		e.PutUint32(3)
 		ref(1).MarshalCDR(e)
 	})
+}
+
+// TestRestoreSnapshotRefusesBigEndian: a snapshot as a build with the
+// big-endian wire wrote it — an empty v2 tree at epoch 7, flag 0 — is
+// refused as corrupt, and the registry keeps its tree.
+func TestRestoreSnapshotRefusesBigEndian(t *testing.T) {
+	old := []byte{0, 0, 0, 0}                   // flag, padding
+	old = binary.BigEndian.AppendUint32(old, 2) // version
+	old = binary.BigEndian.AppendUint64(old, 7) // epoch
+	old = binary.BigEndian.AppendUint32(old, 0) // root bindings
+	r := populatedRegistry(t)
+	if err := r.RestoreSnapshot(old); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("restore = %v, want ErrCorruptSnapshot", err)
+	}
+	if _, err := r.ResolveObject(NewName("calc")); err != nil {
+		t.Fatalf("registry lost state after a refused restore: %v", err)
+	}
 }
 
 // TestSnapshotRefusesRemoteMount: a snapshot holding a remote-context

@@ -2,6 +2,8 @@ package orb
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -559,7 +561,17 @@ func TestStringifiedRefRoundTrip(t *testing.T) {
 }
 
 func TestRefFromStringErrors(t *testing.T) {
-	cases := []string{"", "IOR:00", "SIOR:zz", "SIOR:01"}
+	// A reference as a build with the big-endian wire stringified it:
+	// flag 0, each string's length high byte first.
+	bigEndian := []byte{0}
+	for _, s := range []string{"IDL:repro/Calc:1.0", "10.0.0.1:9999", "calc"} {
+		for len(bigEndian)%4 != 0 {
+			bigEndian = append(bigEndian, 0)
+		}
+		bigEndian = binary.BigEndian.AppendUint32(bigEndian, uint32(len(s)))
+		bigEndian = append(bigEndian, s...)
+	}
+	cases := []string{"", "IOR:00", "SIOR:zz", "SIOR:01", "SIOR:" + hex.EncodeToString(bigEndian)}
 	for _, s := range cases {
 		if _, err := RefFromString(s); err == nil {
 			t.Errorf("RefFromString(%q) succeeded", s)
