@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check fmt vet cross build test race stress bench-check fuzz examples chaos generate bench
+.PHONY: check fmt vet cross build test race stress bench-check bench-smoke fuzz examples chaos generate bench
 
 ## FUZZTIME is how long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 10s
 
 ## check: everything CI's check job runs — formatting, vet, the
 ## big-endian type-check, build, race-enabled tests, the pool and FT
-## recovery stress runs, the benchmark harness's own vet and tests, every
-## fuzz target for FUZZTIME, and every example program run to the end.
-check: fmt vet cross build race stress bench-check fuzz examples
+## recovery stress runs, the benchmark harness's own vet and tests, one
+## pass of the per-package benchmarks, every fuzz target for FUZZTIME, and
+## every example program run to the end.
+check: fmt vet cross build race stress bench-check bench-smoke fuzz examples
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -48,6 +49,12 @@ stress:
 bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+## bench-smoke: one iteration of each benchmark in the packages whose
+## per-layer numbers are quoted (the Complex Box solve, the cdr
+## sequences), so they keep compiling and running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/opt ./internal/cdr
 
 ## fuzz: every native fuzz target for FUZZTIME each, from its seed corpus
 ## (go test -fuzz takes one package and one target per run). A finding is

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,34 @@ func TestFigure3Deterministic(t *testing.T) {
 		if a[0].Points[i] != b[0].Points[i] {
 			t.Fatalf("nondeterministic point %d: %+v vs %+v", i, a[0].Points[i], b[0].Points[i])
 		}
+	}
+}
+
+// TestFigure3MatchesExperimentsDoc renders what rosenbench -experiment
+// fig3 prints (the default configuration, seed 1) and requires its series
+// to equal, digit for digit, the block EXPERIMENTS.md quotes: the virtual
+// runtimes are deterministic, so any drift in the optimizer, the
+// simulator or placement shows here.
+func TestFigure3MatchesExperimentsDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(doc), "Measured (virtual seconds):\n\n```\n")
+	want, _, closed := strings.Cut(after, "```")
+	if !ok || !closed {
+		t.Fatal("EXPERIMENTS.md has no fenced Figure 3 block after \"Measured (virtual seconds):\"")
+	}
+	series, err := RunFigure3(DefaultFigure3Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	RenderFigure3(&sb, series)
+	// The block leaves out the two title lines and the blank line below.
+	_, got, _ := strings.Cut(sb.String(), "\n\n")
+	if got != want {
+		t.Fatalf("rosenbench -experiment fig3 differs from EXPERIMENTS.md:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -500,8 +500,9 @@ func (p *Proxy) resolveFresh(ctx context.Context) (orb.ObjectRef, error) {
 	return fresh, nil
 }
 
-// restoreInto pushes the newest stored checkpoint into ref. A missing
-// checkpoint is fine (stateless service, or no call completed yet).
+// restoreInto pushes the newest stored checkpoint into ref, the recovery
+// of a server that died holding the state. A missing checkpoint is fine
+// (stateless service, or no call completed yet).
 func (p *Proxy) restoreInto(ctx context.Context, ref orb.ObjectRef) error {
 	if p.store == nil {
 		return nil
@@ -569,7 +570,9 @@ func (p *Proxy) Migrate(ctx context.Context, target orb.ObjectRef) (err error) {
 	if err := p.storePut(ctx, cur, Full(p.nextEpoch(), state), captureID{}); err != nil {
 		return fmt.Errorf("ft: migrate checkpoint: %w", err)
 	}
-	if err := p.restoreInto(ctx, target); err != nil {
+	// The store now holds state, so the target gets the bytes in hand
+	// rather than a read of them back.
+	if err := PushRestore(ctx, p.orb, target, state); err != nil {
 		return fmt.Errorf("ft: migrate restore: %w", err)
 	}
 	p.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -572,6 +573,55 @@ func TestProxyMigrate(t *testing.T) {
 	}
 	if w.ctrA.value != 30 {
 		t.Fatalf("ctrA mutated after migration: %d", w.ctrA.value)
+	}
+}
+
+// getCountingStore counts the reads that reach the store.
+type getCountingStore struct {
+	Store
+	gets atomic.Int64
+}
+
+func (s *getCountingStore) Get(ctx context.Context, key string) (Checkpoint, error) {
+	s.gets.Add(1)
+	return s.Store.Get(ctx, key)
+}
+
+// TestProxyMigrateReadsNothingBack: Migrate pushes the state it fetched
+// and stored, so the store sees a put and no get; recovery after a crash,
+// which holds no state, still reads the newest checkpoint.
+func TestProxyMigrateReadsNothingBack(t *testing.T) {
+	w := newFTWorld(t)
+	store := &getCountingStore{Store: w.store}
+	p, err := NewProxy(context.Background(), w.client, w.name, w.naming, store,
+		Policy{CheckpointEvery: 1}, WithInitialRef(w.refA), WithUnbinder(w.naming))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc(p, 30); err != nil {
+		t.Fatal(err)
+	}
+	store.gets.Store(0) // NewProxy read the epoch
+	if err := p.Migrate(context.Background(), w.refB); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.gets.Load(); n != 0 {
+		t.Fatalf("Migrate made %d store gets, want 0", n)
+	}
+	if w.ctrB.value != 30 {
+		t.Fatalf("migrated value = %d", w.ctrB.value)
+	}
+	if v, err := inc(p, 1); err != nil || v != 31 {
+		t.Fatalf("post-migration inc = %d, %v", v, err)
+	}
+
+	w.adB.Close()
+	w.srvB.Shutdown()
+	if v, err := inc(p, 1); err != nil || v != 32 {
+		t.Fatalf("post-recovery inc = %d, %v", v, err)
+	}
+	if n := store.gets.Load(); n != 1 {
+		t.Fatalf("recovery made %d store gets, want 1", n)
 	}
 }
 

@@ -68,6 +68,12 @@ type Result struct {
 // points inside the bounds; repeatedly reflect the worst point through the
 // centroid of the others by factor alpha, retracting it halfway toward the
 // centroid while it remains worst.
+//
+// The main loop allocates nothing: the k points, a spare row the
+// candidate is built in and the centroid share one backing array, and an
+// accepted candidate swaps rows with the worst point it replaces. The
+// objective and Feasible therefore see rows that are rewritten later and
+// must not keep x.
 func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (Result, error) {
 	if err := bounds.Validate(); err != nil {
 		return Result{}, err
@@ -94,15 +100,24 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 		feasible = func([]float64) bool { return true }
 	}
 
+	// Rows 0..k-1 of store hold the complex, row k is the spare and the
+	// last n entries the centroid.
+	store := make([]float64, (k+2)*n)
+	points := make([][]float64, k)
+	for j := range points {
+		points[j] = store[j*n : (j+1)*n : (j+1)*n]
+	}
+	spare := store[k*n : (k+1)*n : (k+1)*n]
+	c := store[(k+1)*n:]
+	values := make([]float64, k)
+
 	// Initial complex: random points in the box, optionally seeded with a
 	// start point. Infeasible random points are resampled (Box pulls them
 	// toward the centroid of the feasible ones; resampling is equivalent
 	// for initialization and simpler to reason about).
-	points := make([][]float64, k)
-	values := make([]float64, k)
 	const maxResamples = 1000
 	for j := 0; j < k; j++ {
-		p := make([]float64, n)
+		p := points[j]
 		if j == 0 && len(opts.Start) == n {
 			copy(p, opts.Start)
 			bounds.Clip(p)
@@ -124,7 +139,6 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 				return Result{}, fmt.Errorf("opt: could not sample a feasible point in %d tries", maxResamples)
 			}
 		}
-		points[j] = p
 		values[j] = eval(p)
 	}
 
@@ -140,22 +154,6 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 		return
 	}
 
-	centroidExcluding := func(skip int) []float64 {
-		c := make([]float64, n)
-		for j := 0; j < k; j++ {
-			if j == skip {
-				continue
-			}
-			for i := 0; i < n; i++ {
-				c[i] += points[j][i]
-			}
-		}
-		for i := 0; i < n; i++ {
-			c[i] /= float64(k - 1)
-		}
-		return c
-	}
-
 	for it := 0; it < opts.MaxIterations; it++ {
 		if opts.Stop != nil && opts.Stop() {
 			break
@@ -166,9 +164,9 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 			res.Converged = true
 			break
 		}
-		c := centroidExcluding(worst)
+		centroid(c, points, worst)
 		// Over-reflection of the worst point through the centroid.
-		cand := make([]float64, n)
+		cand := spare
 		for i := 0; i < n; i++ {
 			cand[i] = c[i] + alpha*(c[i]-points[worst][i])
 		}
@@ -204,7 +202,7 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 			// candidate and the centroid; keep the old point.
 			continue
 		}
-		points[worst] = cand
+		points[worst], spare = cand, points[worst]
 		values[worst] = f
 	}
 
@@ -212,6 +210,61 @@ func MinimizeComplexBox(obj Objective, bounds Bounds, opts ComplexBoxOptions) (R
 	res.X = append([]float64(nil), points[best]...)
 	res.F = values[best]
 	return res, nil
+}
+
+// centroid writes into c the mean of points without points[skip]. Each
+// coordinate's sum starts at zero and adds the points in ascending order,
+// so it is bit for bit the one-coordinate-at-a-time sum; keeping 8, then
+// 4, then 1 coordinates in separate accumulators only lets the additions
+// of different coordinates overlap instead of waiting on one another.
+func centroid(c []float64, points [][]float64, skip int) {
+	n := len(c)
+	m := float64(len(points) - 1)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for j, row := range points {
+			if j == skip {
+				continue
+			}
+			p := row[i : i+8 : i+8]
+			s0 += p[0]
+			s1 += p[1]
+			s2 += p[2]
+			s3 += p[3]
+			s4 += p[4]
+			s5 += p[5]
+			s6 += p[6]
+			s7 += p[7]
+		}
+		d := c[i : i+8 : i+8]
+		d[0], d[1], d[2], d[3] = s0/m, s1/m, s2/m, s3/m
+		d[4], d[5], d[6], d[7] = s4/m, s5/m, s6/m, s7/m
+	}
+	for ; i+4 <= n; i += 4 {
+		var s0, s1, s2, s3 float64
+		for j, row := range points {
+			if j == skip {
+				continue
+			}
+			p := row[i : i+4 : i+4]
+			s0 += p[0]
+			s1 += p[1]
+			s2 += p[2]
+			s3 += p[3]
+		}
+		d := c[i : i+4 : i+4]
+		d[0], d[1], d[2], d[3] = s0/m, s1/m, s2/m, s3/m
+	}
+	for ; i < n; i++ {
+		var s float64
+		for j, row := range points {
+			if j != skip {
+				s += row[i]
+			}
+		}
+		c[i] = s / m
+	}
 }
 
 // String renders a result compactly.

@@ -71,15 +71,12 @@ func (w *Worker) solve(ctx context.Context, req *SolveRequest) (*SolveReply, err
 	if req.Lo >= req.Hi {
 		return nil, &orb.UserException{RepoID: ExBadSolve, Detail: "empty bounds"}
 	}
-	global := opt.UniformBounds(int(req.N), req.Lo, req.Hi)
 	obj, err := d.SubproblemObjective(int(req.Index), req.Boundary)
 	if err != nil {
 		return nil, &orb.UserException{RepoID: ExBadSolve, Detail: err.Error()}
 	}
-	bounds, err := d.SubproblemBounds(int(req.Index), global)
-	if err != nil {
-		return nil, &orb.UserException{RepoID: ExBadSolve, Detail: err.Error()}
-	}
+	// The global bounds are uniform, so the block's are too.
+	bounds := opt.UniformBounds(d.WorkerDims()[req.Index], req.Lo, req.Hi)
 
 	// Charge virtual CPU per evaluation in simulation mode. The cost
 	// scales with the subproblem dimension, like the real flop count.
@@ -102,11 +99,21 @@ func (w *Worker) solve(ctx context.Context, req *SolveRequest) (*SolveReply, err
 	}
 	w.mu.Unlock()
 
+	// Polled once per iteration: a receive that does not block, where
+	// ctx.Err() would take the context's lock.
+	done := ctx.Done()
 	res, err := opt.MinimizeComplexBox(charged, bounds, opt.ComplexBoxOptions{
 		MaxIterations: int(req.MaxIterations),
 		Seed:          req.Seed,
 		Start:         start,
-		Stop:          func() bool { return ctx.Err() != nil },
+		Stop: func() bool {
+			select {
+			case <-done:
+				return true
+			default:
+				return false
+			}
+		},
 	})
 	if err != nil {
 		return nil, &orb.SystemException{Kind: orb.ExInternal, Detail: err.Error()}
